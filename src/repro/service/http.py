@@ -21,6 +21,12 @@ Every response carries two headers:
 render from the cache, simulation-backed ones 404 with a hint to
 re-submit with ``"artifacts"`` — the worker pool is the only simulating
 component.
+
+Connections are meant to be kept alive: replies go out with
+``TCP_NODELAY``, a poll of an unfinished job waits up to
+:data:`JOB_WAIT_S` for it to end instead of answering at once, and a
+request body is always read (or the connection closed) before the reply,
+so a refused request never leaves bytes behind for the next one.
 """
 
 from __future__ import annotations
@@ -47,11 +53,27 @@ _logger = get_logger("repro.service.http")
 #: request body size cap — a sweep of every preset x workload is ~100 KiB
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: longest a ``GET /v1/jobs/<id>`` of a queued or running job blocks
+#: before answering with the job's current record; a polling client thus
+#: sends about one request per job rather than one per round trip, and
+#: its poll handlers stop taking the interpreter lock from workers that
+#: simulate in-process
+JOB_WAIT_S = 0.5
+
+
+def _nonneg_int(text):
+    """``text`` as a non-negative integer, or ``None`` if it is not one."""
+    text = text.strip()
+    return int(text) if text.isdecimal() else None
+
 
 def _make_handler(app):
     class Handler(BaseHTTPRequestHandler):
         server_version = f"bigvlittle-service/{SERVICE_SCHEMA.rsplit('-', 1)[-1]}"
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY: otherwise Nagle holds the body segment until the
+        # client's delayed ACK of the headers, ~40 ms per kept-alive reply
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):
             _logger.info(f"[http] {self.address_string()} {fmt % args}")
@@ -133,11 +155,27 @@ class ServiceApp:
         handler.send_header("Content-Length", str(len(data)))
         handler.send_header("X-BigVLittle-Schema", SERVICE_SCHEMA)
         handler.send_header("X-BigVLittle-Cache", level)
+        if handler.close_connection:
+            handler.send_header("Connection", "close")
         handler.end_headers()
         handler.wfile.write(data)
 
     def _error(self, handler, status, message, hint=None):
         self._send(handler, status, error_body(message, hint=hint), "miss")
+
+    @staticmethod
+    def _read_body(handler):
+        """Read the request body whatever the reply will be: on a
+        kept-alive connection an unread body would be parsed as the next
+        request.  Returns ``None``, and marks the connection to close,
+        when the body cannot be read safely (``Content-Length`` not an
+        integer or above ``MAX_BODY_BYTES``, or a chunked body)."""
+        length = _nonneg_int(handler.headers.get("Content-Length", "0"))
+        if (length is None or length > MAX_BODY_BYTES
+                or "Transfer-Encoding" in handler.headers):
+            handler.close_connection = True
+            return None
+        return handler.rfile.read(length) if length else b""
 
     # ---------------------------------------------------------------- routes
 
@@ -145,6 +183,7 @@ class ServiceApp:
         url = urlparse(handler.path)
         parts = [p for p in url.path.split("/") if p]
         try:
+            self._read_body(handler)  # ignored, but must not stay unread
             if parts == ["v1", "healthz"]:
                 return self._send(handler, 200, {
                     "schema": SERVICE_SCHEMA, "ok": True,
@@ -162,18 +201,22 @@ class ServiceApp:
                     "pool": self.pool.stats(),
                 }, "memory")
             if parts == ["v1", "jobs"]:
-                query = parse_qs(url.query)
-                limit = int(query.get("limit", ["50"])[0])
+                raw = parse_qs(url.query).get("limit", ["50"])[0]
+                limit = _nonneg_int(raw)
+                if limit is None:
+                    return self._error(handler, 400,
+                                       "limit must be a non-negative "
+                                       f"integer, got {raw!r}")
                 return self._send(handler, 200, {
                     "schema": SERVICE_SCHEMA,
                     "jobs": [j.as_dict() for j in self.queue.jobs(limit)],
                 }, "memory")
             if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                job = self.queue.get(parts[2])
-                if job is None:
+                record = self.queue.wait(parts[2], JOB_WAIT_S)
+                if record is None:
                     return self._error(handler, 404,
                                        f"no such job {parts[2]!r}")
-                return self._send(handler, 200, job.as_dict(), "memory")
+                return self._send(handler, 200, record, "memory")
             if len(parts) == 3 and parts[:2] == ["v1", "results"]:
                 return self._results_index(handler, parts[2])
             if len(parts) == 4 and parts[:2] == ["v1", "results"]:
@@ -189,16 +232,16 @@ class ServiceApp:
         url = urlparse(handler.path)
         parts = [p for p in url.path.split("/") if p]
         try:
+            raw = self._read_body(handler)
             if parts != ["v1", "runs"]:
                 return self._error(handler, 404,
                                    f"no POST route for {url.path}",
                                    hint="submit work with POST /v1/runs")
-            length = int(handler.headers.get("Content-Length") or 0)
-            if length <= 0 or length > MAX_BODY_BYTES:
+            if not raw:
                 return self._error(handler, 400,
-                                   "a JSON body is required "
+                                   "a JSON body with an integer "
+                                   "Content-Length is required "
                                    f"(1..{MAX_BODY_BYTES} bytes)")
-            raw = handler.rfile.read(length)
             try:
                 doc = json.loads(raw.decode("utf-8"))
             except ValueError as exc:

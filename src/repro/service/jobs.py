@@ -7,7 +7,8 @@ polls is the key the artifacts land under), and the artifact names to
 pre-generate.  The :class:`JobQueue` holds jobs in three places:
 
 * **in memory** — the FIFO the worker pool claims from, guarded by one
-  condition variable;
+  lock with two condition variables: one wakes claiming workers, the
+  other wakes readers blocked in :meth:`JobQueue.wait` on a job's end;
 * **in a JSONL journal** — every state transition appends one line, so a
   restarted service replays the journal and *re-queues* whatever was
   queued or running when the process died (counted as ``recovered``);
@@ -114,7 +115,12 @@ class JobQueue:
         self._jobs = {}                 # id -> Job (full history, FIFO dicts)
         self._pending = deque()         # ids waiting for a worker
         self._inflight = {}             # signature -> id (queued/running)
-        self._cond = threading.Condition()
+        # ``_cond`` wakes claiming workers, ``_finished`` wakes readers
+        # waiting for a job to end: kept apart so that the one wake-up a
+        # submit sends always reaches a worker, never a reader
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)
+        self._finished = threading.Condition(lock)
         self._seq = 0
         self._closed = False
         self.counters = {name: 0 for name in COUNTERS}
@@ -227,7 +233,7 @@ class JobQueue:
             self._emit("done", "job_done", job, ok=True,
                        levels=job.levels)
             self._journal("job_done", job)
-            self._cond.notify_all()
+            self._finished.notify_all()
 
     def fail(self, job, error):
         with self._cond:
@@ -238,7 +244,7 @@ class JobQueue:
             self._emit("failed", "job_done", job, ok=False,
                        error=job.error)
             self._journal("job_failed", job)
-            self._cond.notify_all()
+            self._finished.notify_all()
 
     def requeue(self, job, error, backoff_s=0.0):
         """Put a crashed job back in line (state -> queued, retries += 1).
@@ -260,10 +266,23 @@ class JobQueue:
         with self._cond:
             return self._jobs.get(job_id)
 
+    def wait(self, job_id, timeout):
+        """Block until job ``job_id`` is done or failed, or ``timeout``
+        seconds pass; returns its record (:meth:`Job.as_dict`, taken under
+        the lock so a worker's update is never half seen), or ``None``
+        for an unknown id."""
+        with self._finished:
+            job = self._jobs.get(job_id)
+            if job is None:
+                return None
+            self._finished.wait_for(
+                lambda: job.state in ("done", "failed"), timeout)
+            return job.as_dict()
+
     def jobs(self, limit=50):
         """Most recent ``limit`` jobs, newest first."""
         with self._cond:
-            recent = list(self._jobs.values())[-limit:]
+            recent = list(self._jobs.values())[-limit:] if limit else []
         return list(reversed(recent))
 
     def pending(self):

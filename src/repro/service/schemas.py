@@ -54,7 +54,8 @@ ENDPOINTS = (
     ("GET", "/v1/jobs",
      "recent jobs, newest first"),
     ("GET", "/v1/jobs/<id>",
-     "one job's state, keys, per-key cache levels, retries, error"),
+     "one job's state, keys, per-key cache levels, retries, error; "
+     "waits for a queued or running job to end, at most 0.5 s"),
     ("GET", "/v1/results/<config_hash>",
      "artifact index for one cached run"),
     ("GET", "/v1/results/<config_hash>/<artifact>",

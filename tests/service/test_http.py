@@ -1,11 +1,17 @@
 """HTTP API tests over a real socket: contract headers, artifact serving
-(warm GETs never simulate), dedup, validation, and graceful drain."""
+(warm GETs never simulate), dedup, validation, graceful drain, and
+kept-alive connections (no reply stall, bounded job polls)."""
 
+import http.client
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
 
+import pytest
+
+from repro.service.http import JOB_WAIT_S, MAX_BODY_BYTES
 from repro.service.schemas import ENDPOINTS, SERVICE_SCHEMA
 
 RUN = {"system": "1b", "workload": "vvadd", "scale": "tiny"}
@@ -29,12 +35,54 @@ def submit_and_wait(app, body, timeout=20.0):
     job = json.loads(raw)
     deadline = time.time() + timeout
     while time.time() < deadline:
+        # the server holds each poll until the job ends or JOB_WAIT_S
         _, _, raw = req(app, "GET", f"/v1/jobs/{job['id']}")
         doc = json.loads(raw)
         if doc["state"] in ("done", "failed"):
             return doc
-        time.sleep(0.02)
     raise AssertionError(f"job never finished: {doc}")
+
+
+@pytest.fixture
+def connect(service_app):
+    """Opens persistent HTTP/1.1 connections to the app, as a real client
+    keeps them; all of them close at teardown."""
+    conns = []
+
+    def open_connection():
+        conns.append(http.client.HTTPConnection(
+            "127.0.0.1", service_app.port, timeout=10))
+        return conns[-1]
+
+    yield open_connection
+    for conn in conns:
+        conn.close()
+
+
+def creq(conn, method, path, body=None, headers=None):
+    """One request on a kept-alive ``http.client`` connection."""
+    headers = dict(headers or {})
+    data = None
+    if body is not None:
+        data = json.dumps(body).encode()
+        headers.setdefault("Content-Type", "application/json")
+    conn.request(method, path, body=data, headers=headers)
+    resp = conn.getresponse()
+    return resp.status, dict(resp.headers), resp.read()
+
+
+def gate_worker(app):
+    """Hold the worker at the start of every batch until the returned
+    event is set."""
+    release = threading.Event()
+    execute = app.pool._execute
+
+    def gated(jobs):
+        release.wait(20)
+        return execute(jobs)
+
+    app.pool._execute = gated
+    return release
 
 
 # ---------------------------------------------------------------- contract
@@ -62,6 +110,118 @@ def test_every_documented_endpoint_answers(service_app):
                                  dict(RUN) if method == "POST" else None)
         assert status in (200, 202), (method, path, status)
         assert headers["X-BigVLittle-Schema"] == SERVICE_SCHEMA
+
+
+@pytest.mark.parametrize("method, path, body, length, status", [
+    ("GET", "/v1/jobs?limit=abc", None, None, 400),
+    ("GET", "/v1/jobs?limit=-1", None, None, 400),
+    ("GET", "/v1/jobs?limit=0", None, None, 200),
+    ("GET", "/v1/healthz", RUN, None, 200),
+    ("POST", "/v1/runs", RUN, "abc", 400),
+    ("POST", "/v1/runs", RUN, str(MAX_BODY_BYTES + 1), 400),
+    ("POST", "/v1/jobs", RUN, None, 404),
+])
+def test_bad_requests_get_clean_errors_on_a_kept_alive_connection(
+        service_app, connect, method, path, body, length, status):
+    """Malformed input from outside is a 4xx with an ``error``, never a
+    500, and no reply poisons the connection: a body the server does not
+    use is read and discarded, or the connection closes."""
+    service_app.queue.submit([dict(RUN, overrides={})])
+    conn = connect()
+    headers = {"Content-Length": length} if length else {}
+    got, hdrs, raw = creq(conn, method, path, body, headers)
+    assert got == status
+    doc = json.loads(raw)
+    if status != 200:
+        assert doc["error"] and doc["schema"] == SERVICE_SCHEMA
+    elif "limit=0" in path:
+        assert doc["jobs"] == []
+    if length:  # the body cannot be read safely, so the server hangs up
+        assert hdrs["Connection"] == "close"
+    got, hdrs, _ = creq(conn, "GET", "/v1/healthz")
+    assert got == 200 and hdrs["X-BigVLittle-Schema"] == SERVICE_SCHEMA
+
+
+def test_kept_alive_replies_do_not_stall(connect):
+    """With Nagle on, each reply's body waits for the client's delayed
+    ACK (~40 ms) on a kept-alive connection."""
+    conn = connect()
+    t0 = time.perf_counter()
+    for _ in range(20):
+        status, _, _ = creq(conn, "GET", "/v1/healthz")
+        assert status == 200
+    assert time.perf_counter() - t0 < 0.4
+
+
+def test_job_poll_answers_as_soon_as_the_job_ends(service_app, connect):
+    submit_and_wait(service_app, dict(RUN))  # so the polled rerun is warm
+    release = gate_worker(service_app)
+    conn = connect()
+    _, _, raw = creq(conn, "POST", "/v1/runs", dict(RUN))
+    job = json.loads(raw)
+    timer = threading.Timer(0.1, release.set)
+    timer.start()
+    t0 = time.perf_counter()
+    status, _, raw = creq(conn, "GET", f"/v1/jobs/{job['id']}")
+    waited = time.perf_counter() - t0
+    timer.join()
+    doc = json.loads(raw)
+    assert status == 200 and doc["state"] == "done" and doc["levels"]
+    assert waited < JOB_WAIT_S
+
+
+def test_job_poll_of_a_long_job_returns_its_record_at_the_bound(
+        service_app, connect):
+    release = gate_worker(service_app)
+    try:
+        conn = connect()
+        _, _, raw = creq(conn, "POST", "/v1/runs", dict(RUN))
+        job = json.loads(raw)
+        t0 = time.perf_counter()
+        status, _, raw = creq(conn, "GET", f"/v1/jobs/{job['id']}")
+        waited = time.perf_counter() - t0
+        assert status == 200
+        assert json.loads(raw)["state"] in ("queued", "running")
+        assert JOB_WAIT_S * 0.9 <= waited < JOB_WAIT_S + 2
+    finally:
+        release.set()
+
+
+def test_submit_during_a_long_poll_is_claimed_promptly(service_app, connect):
+    """A waiting poll must not absorb the wake-up a submit sends to idle
+    claimers: the poller waits first, so a shared condition would wake
+    it and leave the claimer asleep until its timeout."""
+    release = gate_worker(service_app)
+    try:
+        first = json.loads(creq(connect(), "POST", "/v1/runs",
+                                dict(RUN))[2])
+        deadline = time.time() + 10
+        while service_app.queue.get(first["id"]).state != "running":
+            assert time.time() < deadline  # the held worker claims it
+            time.sleep(0.01)
+        poller = threading.Thread(target=creq, args=(
+            connect(), "GET", f"/v1/jobs/{first['id']}"))
+        poller.start()
+        time.sleep(0.1)
+        claimed = []
+        claimer = threading.Thread(target=lambda: claimed.append(
+            (service_app.queue.claim(timeout=5), time.perf_counter())))
+        claimer.start()
+        time.sleep(0.1)
+        second = json.loads(creq(
+            connect(), "POST", "/v1/runs",
+            dict(RUN, overrides={"mem": {"dram_latency": 300}}))[2])
+        submitted = time.perf_counter()
+        claimer.join(10)
+        assert not claimer.is_alive()
+        job, at = claimed[0]
+        assert job.id == second["id"]
+        assert at - submitted < 1.0
+        service_app.queue.complete(job)
+    finally:
+        release.set()
+    poller.join(10)
+    assert not poller.is_alive()
 
 
 def test_unknown_routes_get_hints(service_app):

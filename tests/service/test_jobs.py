@@ -3,6 +3,9 @@ counter <-> telemetry reconciliation contract."""
 
 import json
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -90,6 +93,44 @@ def test_closed_queue_rejects_submissions(tmp_path):
     # queued work stays claimable during the drain
     assert q.claim(timeout=0) is not None
     assert q.claim(timeout=0) is None  # then empty -> None, no block
+
+
+def test_waiting_readers_wake_on_every_completion(tmp_path):
+    """Readers blocked in ``wait`` race the threads that complete jobs.
+    Each read must end on the completion's wake-up, not on its timeout,
+    and return a whole record: ``done`` with its ``levels``."""
+    q = make_queue(tmp_path)
+    jobs = [q.submit([dict(RUN, overrides={"mem": {"dram_latency": 100 + i}})]
+                     )[0] for i in range(40)]
+    bad = []
+
+    def complete_all():
+        while (job := q.claim(timeout=0)) is not None:
+            q.complete(job, levels={job.keys[0]: "fresh"})
+
+    def read_all():
+        for job in jobs:
+            record = q.wait(job.id, timeout=10)
+            if record["state"] != "done" or not record["levels"]:
+                bad.append(record)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_all) for _ in range(6)]
+        threads += [threading.Thread(target=complete_all) for _ in range(3)]
+        t0 = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        elapsed = time.perf_counter() - t0
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert elapsed < 5  # a missed wake-up costs its reader the 10 s timeout
+    assert bad == []
+    assert q.counters["done"] == len(jobs)
 
 
 # ----------------------------------------------------------- reconciliation

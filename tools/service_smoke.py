@@ -9,9 +9,15 @@ What CI runs (and what an operator can run locally to vet a deploy):
 4. fetch the ``stats`` artifact twice — first ``generated``, then
    ``artifact`` — and byte-compare it against a direct in-process
    ``run_pair`` dump (the no-simulation-drift guarantee);
-5. re-submit the same body and require dedup/instant completion;
-6. check ``GET /v1/stats`` counters reconcile with the telemetry JSONL;
-7. SIGTERM the server and require a clean drain + exit 0.
+5. fetch it ``WARM_GETS`` more times and require a median under
+   ``WARM_GET_MS`` — a reply stalled by Nagle's algorithm takes 40 ms;
+6. re-submit the same body and require dedup/instant completion;
+7. check ``GET /v1/stats`` counters reconcile with the telemetry JSONL;
+8. SIGTERM the server and require a clean drain + exit 0.
+
+Every request goes over one persistent HTTP/1.1 connection, as a real
+client's would, and job polls do not sleep: the server holds each poll
+until the job ends or its wait bound passes.
 
 Usage: ``python tools/service_smoke.py [--keep DIR]`` — ``--keep``
 copies the server's telemetry log and fetched artifacts into DIR (CI
@@ -22,31 +28,45 @@ server's output, and exits 1.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+#: warm ``stats`` GETs timed on the kept-alive connection, and the limit
+#: on their median
+WARM_GETS = 20
+WARM_GET_MS = 20.0
 
-def http(method, url, body=None):
-    req = urllib.request.Request(
-        url, method=method,
-        data=json.dumps(body).encode() if body is not None else None,
-        headers={"Content-Type": "application/json"} if body else {})
-    try:
-        with urllib.request.urlopen(req, timeout=10) as resp:
-            return resp.status, dict(resp.headers), resp.read()
-    except urllib.error.HTTPError as e:
-        return e.code, dict(e.headers), e.read()
+
+def request(conn, method, path, body=None):
+    """One request on the kept-alive connection ``conn``."""
+    data = json.dumps(body).encode() if body is not None else None
+    headers = {"Content-Type": "application/json"} if data else {}
+    conn.request(method, path, body=data, headers=headers)
+    resp = conn.getresponse()
+    return resp.status, dict(resp.headers), resp.read()
+
+
+def poll(conn, job_id, timeout=60.0):
+    """Poll a job until it ends or ``timeout`` seconds pass; returns its
+    last record."""
+    deadline = time.monotonic() + timeout
+    while True:
+        _, _, raw = request(conn, "GET", f"/v1/jobs/{job_id}")
+        job = json.loads(raw)
+        if job["state"] in ("done", "failed") \
+                or time.monotonic() > deadline:
+            return job
 
 
 def free_port():
@@ -81,6 +101,7 @@ def main():
     port = free_port()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.experiments.cli", "serve",
          "--port", str(port), "--workers", "1",
@@ -88,43 +109,38 @@ def main():
          "--telemetry", tele],
         env=env, cwd=ROOT, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    base = f"http://127.0.0.1:{port}"
 
     try:
         for _ in range(100):
             if proc.poll() is not None:
                 return fail("server exited during startup", proc)
             try:
-                status, _, _ = http("GET", f"{base}/v1/healthz")
+                status, _, _ = request(conn, "GET", "/v1/healthz")
                 if status == 200:
                     break
-            except (urllib.error.URLError, OSError):
+            except OSError:
+                conn.close()
                 time.sleep(0.1)
         else:
             return fail("server never answered /v1/healthz", proc)
         print(f"service_smoke: server healthy on port {port}")
 
         body = {"system": "1b-4VL", "workload": "saxpy", "scale": "tiny"}
-        status, _, raw = http("POST", f"{base}/v1/runs", body)
+        status, _, raw = request(conn, "POST", "/v1/runs", body)
         if status != 202:
             return fail(f"submit returned {status}: {raw!r}", proc)
         job = json.loads(raw)
         key = job["keys"][0]
         print(f"service_smoke: submitted {job['id']} key={key[:12]}…")
 
-        for _ in range(300):
-            status, _, raw = http("GET", f"{base}/v1/jobs/{job['id']}")
-            state = json.loads(raw)["state"]
-            if state in ("done", "failed"):
-                break
-            time.sleep(0.1)
-        if state != "done":
-            return fail(f"job ended as {state}: {raw!r}", proc)
-        print(f"service_smoke: job done, levels="
-              f"{json.loads(raw)['levels']}")
+        job = poll(conn, job["id"])
+        if job["state"] != "done":
+            return fail(f"job ended as {job['state']}: {job}", proc)
+        print(f"service_smoke: job done, levels={job['levels']}")
 
-        status, h1, served = http("GET", f"{base}/v1/results/{key}/stats")
-        status2, h2, served2 = http("GET", f"{base}/v1/results/{key}/stats")
+        stats_path = f"/v1/results/{key}/stats"
+        status, h1, served = request(conn, "GET", stats_path)
+        status2, h2, served2 = request(conn, "GET", stats_path)
         if status != 200 or status2 != 200:
             return fail(f"stats artifact GET failed ({status}/{status2})",
                         proc)
@@ -146,23 +162,33 @@ def main():
         print(f"service_smoke: stats artifact byte-identical to direct run "
               f"({len(served)} bytes)")
 
-        status, _, raw = http("POST", f"{base}/v1/runs", body)
+        warm_ms = []
+        for _ in range(WARM_GETS):
+            t0 = time.perf_counter()
+            status, _, data = request(conn, "GET", stats_path)
+            warm_ms.append((time.perf_counter() - t0) * 1e3)
+            if status != 200 or data != served:
+                return fail(f"warm stats GET returned {status} or changed "
+                            "bytes", proc)
+        median_ms = statistics.median(warm_ms)
+        if median_ms > WARM_GET_MS:
+            return fail(f"median of {WARM_GETS} warm stats GETs on a "
+                        f"kept-alive connection is {median_ms:.1f} ms "
+                        f"(limit {WARM_GET_MS:.0f} ms)", proc)
+        print(f"service_smoke: warm stats GET median {median_ms:.2f} ms "
+              f"over {WARM_GETS} requests on one connection")
+
+        status, _, raw = request(conn, "POST", "/v1/runs", body)
         if status != 200 and json.loads(raw)["state"] != "done":
             # not deduplicated (job already finished) — must at least be
             # a warm job; poll it to done and require a cache-level hit
-            job2 = json.loads(raw)
-            for _ in range(100):
-                status, _, raw = http("GET", f"{base}/v1/jobs/{job2['id']}")
-                if json.loads(raw)["state"] in ("done", "failed"):
-                    break
-                time.sleep(0.05)
-            levels = json.loads(raw).get("levels") or {}
+            levels = poll(conn, json.loads(raw)["id"]).get("levels") or {}
             if levels.get(key) not in ("memory", "disk"):
                 return fail(f"warm resubmit did not hit the cache: {levels}",
                             proc)
         print("service_smoke: warm resubmit served from cache")
 
-        status, _, raw = http("GET", f"{base}/v1/stats")
+        status, _, raw = request(conn, "GET", "/v1/stats")
         stats = json.loads(raw)
         counters = stats["queue"]["counters"]
         if counters["done"] < 1 or counters["enqueued"] < 1:
@@ -182,6 +208,7 @@ def main():
               f"({by_ev.get('job_enqueued', 0)} enqueued, "
               f"{by_ev.get('job_done', 0)} done events)")
 
+        conn.close()
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=30)
         if proc.returncode != 0:
@@ -200,6 +227,7 @@ def main():
         print("service_smoke: OK")
         return 0
     finally:
+        conn.close()
         if proc.poll() is None:
             proc.kill()
         shutil.rmtree(root, ignore_errors=True)
