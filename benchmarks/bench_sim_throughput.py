@@ -1,4 +1,4 @@
-"""Benchmark + CI guard: quiescence skipping must pay for itself.
+"""Benchmark + CI guard: the event core's idle skipping must pay for itself.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -7,19 +7,17 @@ Not collected by pytest (no ``test_`` prefix) — run directly:
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py --check \
         benchmarks/sim_throughput_baseline.json
 
-Each (workload, system) pair runs three interleaved arms of the same
+Each (workload, system) pair runs two interleaved arms of the same
 simulation:
 
-* **event**  — the per-unit event-driven core (``loop="event"``, the
+* **event** — the per-unit event-driven core (``run(...)``, the
   default);
-* **legacy** — the probe-every-span quiescence scheduler
-  (``loop="legacy"``);
-* **dense**  — ``run(..., skip=False)``, grinding through every tick.
+* **dense** — ``run(..., skip=False)``, grinding through every tick.
 
-All arms produce bit-identical stats apart from the ``sim.ticks_*``
-executed/skipped split, so wall-time ratios against the dense arm
-isolate each scheduler. The workload grid covers the three regimes the
-schedulers were built for:
+Both arms produce bit-identical stats apart from the ``sim.ticks_*``
+executed/skipped split, so the wall-time ratio isolates the scheduler.
+The workload grid covers the three regimes the event core was built
+for:
 
 * ``saxpy``         — a dense vector kernel (little idle time; the guard
   checks skipping never *costs* throughput here);
@@ -29,14 +27,11 @@ schedulers were built for:
   stride: the core blocks on DRAM for ~100-tick stretches.
 
 Absolute wall time is machine-dependent, so ``--check`` guards the
-machine-relative **dense/skip speedup** per loop: each loop's geometric
-mean over the whole grid must not fall more than ``--tolerance``
-(default 10%) below its recorded baseline. A pre-event-core baseline
-(single recorded geomean, no per-loop split) gates *both* loops against
-the same figure — the re-baseline flow requires both to clear the old
-bar first. Individual pairs are reported but not gated — single
-(workload, system) speedups swing ±15% run to run, while the geomean is
-stable to a couple of percent.
+machine-relative **dense/event speedup**: its geometric mean over the
+whole grid must not fall more than ``--tolerance`` (default 10%) below
+the recorded baseline. Individual pairs are reported but not gated —
+single (workload, system) speedups swing ±15% run to run, while the
+geomean is stable to a couple of percent.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from bench_pipeview_overhead import emit_bench_json
 SYSTEMS = ("1b-4VL", "1bIV-4L", "1bDV")
 SCALE = "small"
 DOMAINS = ("big", "little", "mem")
-LOOPS = ("event", "legacy")
 
 #: ``switch_thrash`` / ``dram_chain`` now live in the workload registry
 #: (``repro.workloads.synthetic``) with larger per-scale defaults sized
@@ -77,8 +71,8 @@ def _program(workload, cfg):
 
 WORKLOADS = ("saxpy", "switch_thrash", "dram_chain")
 
-#: measurement arms: two schedulers plus the dense reference
-_ARMS = ("event", "legacy", "dense")
+#: measurement arms: the event core and the dense reference
+_ARMS = ("event", "dense")
 
 
 def _one_run(workload, system_name, arm):
@@ -86,10 +80,7 @@ def _one_run(workload, system_name, arm):
     program = _program(workload, cfg)
     system = System(cfg)
     t0 = time.perf_counter()
-    if arm == "dense":
-        result = system.run(program, skip=False)
-    else:
-        result = system.run(program, loop=arm)
+    result = system.run(program, skip=arm == "event")
     wall = time.perf_counter() - t0
     ticks = sum(result.stats[f"sim.ticks_{d}"] for d in DOMAINS)
     skipped = sum(result.stats[f"sim.ticks_skipped_{d}"] for d in DOMAINS)
@@ -103,28 +94,22 @@ def measure(repeats):
     out = {}
     for workload in WORKLOADS:
         for system_name in SYSTEMS:
-            _one_run(workload, system_name, "event")  # warm traces/caches
+            # warm traces/caches; the executed/skipped split is
+            # deterministic, so this run also supplies it
+            _, ticks, skipped = _one_run(workload, system_name, "event")
             best = {arm: float("inf") for arm in _ARMS}
-            split = {}
             for _ in range(repeats):
                 for arm in _ARMS:
-                    wall, t, s = _one_run(workload, system_name, arm)
+                    wall = _one_run(workload, system_name, arm)[0]
                     best[arm] = min(best[arm], wall)
-                    if arm != "dense":
-                        split[arm] = (t, s)
-            ticks, skipped = split["event"]
             total = ticks + skipped
-            m = {
+            out[(workload, system_name)] = {
+                "event_wall_s": best["event"],
                 "dense_wall_s": best["dense"],
                 "ticks_total": total,
+                "event_speedup": best["dense"] / best["event"],
+                "event_skipped_frac": skipped / total if total else 0.0,
             }
-            for loop in LOOPS:
-                t, s = split[loop]
-                m[f"{loop}_wall_s"] = best[loop]
-                m[f"{loop}_speedup"] = best["dense"] / best[loop]
-                m[f"{loop}_skipped_frac"] = s / (t + s) if (t + s) else 0.0
-            m["event_vs_legacy"] = best["legacy"] / best["event"]
-            out[(workload, system_name)] = m
     return out
 
 
@@ -138,7 +123,7 @@ def main(argv=None):
     ap.add_argument("--record", metavar="PATH",
                     help="write the measured speedups as the new baseline")
     ap.add_argument("--check", metavar="PATH",
-                    help="fail (exit 1) if a loop's geomean speedup falls "
+                    help="fail (exit 1) if the geomean speedup falls "
                          "below this baseline by more than --tolerance")
     ap.add_argument("--tolerance", type=float, default=0.10,
                     help="allowed relative speedup drop (default 0.10)")
@@ -149,32 +134,24 @@ def main(argv=None):
 
     results = measure(args.repeats)
     print(f"run-loop throughput, best of {args.repeats} per arm:")
-    print(f"  {'workload':14s} {'system':9s} {'event':>9s} {'legacy':>9s} "
-          f"{'dense':>9s} {'ev-spd':>7s} {'lg-spd':>7s} {'ev/lg':>6s}")
+    print(f"  {'workload':14s} {'system':9s} {'event':>9s} {'dense':>9s} "
+          f"{'speedup':>7s} {'skipped':>7s}")
     for (workload, system_name), m in results.items():
         print(f"  {workload:14s} {system_name:9s} "
               f"{m['event_wall_s'] * 1000:7.1f}ms "
-              f"{m['legacy_wall_s'] * 1000:7.1f}ms "
               f"{m['dense_wall_s'] * 1000:7.1f}ms "
-              f"{m['event_speedup']:6.2f}x {m['legacy_speedup']:6.2f}x "
-              f"{m['event_vs_legacy']:5.2f}x")
+              f"{m['event_speedup']:6.2f}x "
+              f"{m['event_skipped_frac']:7.1%}")
 
-    speedups = {loop: {f"{w}:{s}": round(m[f"{loop}_speedup"], 4)
-                       for (w, s), m in results.items()}
-                for loop in LOOPS}
-    geomeans = {loop: _geomean(list(speedups[loop].values()))
-                for loop in LOOPS}
-    synth = [m["event_vs_legacy"] for (w, _), m in results.items()
-             if w in ("switch_thrash", "dram_chain")]
-    print(f"  geomean speedup: event {geomeans['event']:.3f}x, "
-          f"legacy {geomeans['legacy']:.3f}x")
-    print(f"  geomean event-vs-legacy on synthetics: "
-          f"{_geomean(synth):.3f}x")
+    speedups = {f"{w}:{s}": round(m["event_speedup"], 4)
+                for (w, s), m in results.items()}
+    geomean = _geomean(list(speedups.values()))
+    print(f"  geomean speedup: {geomean:.3f}x")
     if args.record:
         payload = {"scale": SCALE, "repeats": args.repeats,
-                   "loops": {loop: {
-                       "geomean_speedup": round(geomeans[loop], 4),
-                       "speedups": speedups[loop]} for loop in LOOPS}}
+                   "loops": {"event": {
+                       "geomean_speedup": round(geomean, 4),
+                       "speedups": speedups}}}
         with open(args.record, "w") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
@@ -184,13 +161,9 @@ def main(argv=None):
             emit_bench_json(
                 args.bench_json, f"sim_throughput:{workload}:{system_name}",
                 {"event_wall_s": round(m["event_wall_s"], 5),
-                 "legacy_wall_s": round(m["legacy_wall_s"], 5),
                  "dense_wall_s": round(m["dense_wall_s"], 5),
                  "event_speedup": round(m["event_speedup"], 4),
-                 "legacy_speedup": round(m["legacy_speedup"], 4),
-                 "event_vs_legacy": round(m["event_vs_legacy"], 4),
-                 "event_skipped_frac": round(m["event_skipped_frac"], 4),
-                 "legacy_skipped_frac": round(m["legacy_skipped_frac"], 4)},
+                 "event_skipped_frac": round(m["event_skipped_frac"], 4)},
                 {"system": system_name, "workload": workload,
                  "scale": SCALE, "repeats": args.repeats})
         print(f"merged results into {args.bench_json}")
@@ -198,28 +171,19 @@ def main(argv=None):
     rc = 0
     if args.check:
         with open(args.check) as f:
-            base = json.load(f)
-        if "loops" in base:
-            bases = {loop: base["loops"][loop]["geomean_speedup"]
-                     for loop in LOOPS}
-        else:
-            # pre-event-core baseline: one legacy figure gates both loops
-            bases = {loop: base["geomean_speedup"] for loop in LOOPS}
-        for loop in LOOPS:
-            limit = bases[loop] * (1.0 - args.tolerance)
-            ok = geomeans[loop] >= limit
-            print(f"  guard [{loop}] geomean speedup: "
-                  f"{geomeans[loop]:.3f}x vs limit {limit:.3f}x "
-                  f"(baseline {bases[loop]:.3f}x -{args.tolerance:.0%}) "
-                  f"-> {'OK' if ok else 'FAIL'}")
-            if not ok:
-                rc = 1
-        if rc:
-            print("sim-throughput regression: a scheduler lost ground "
-                  "against the forced-off loop; check for new "
-                  "per-iteration work ahead of the probe, next_work_ps "
-                  "hooks returning 0 too eagerly, or skip spans being "
-                  "clamped harder than before.")
+            base = json.load(f)["loops"]["event"]["geomean_speedup"]
+        limit = base * (1.0 - args.tolerance)
+        ok = geomean >= limit
+        print(f"  guard geomean speedup: {geomean:.3f}x vs limit "
+              f"{limit:.3f}x (baseline {base:.3f}x -{args.tolerance:.0%}) "
+              f"-> {'OK' if ok else 'FAIL'}")
+        if not ok:
+            rc = 1
+            print("sim-throughput regression: the event core lost ground "
+                  "against the dense loop; check for new per-iteration "
+                  "work ahead of the probe, next_work_ps hooks returning "
+                  "0 too eagerly, or skip spans being clamped harder than "
+                  "before.")
     return rc
 
 

@@ -388,14 +388,13 @@ class BigCore:
                     return 0  # front end would fetch next tick
         return bound
 
-    def skip_ticks(self, n, now=None):
+    def skip_ticks(self, n, now):
         """Replay the per-tick constant effects of ``n`` provably idle
         ticks (guaranteed by ``next_work_ps``): the commit stage charges
         one idle-cycle attribution per cycle even when nothing moves.
 
-        ``now`` is accepted for interface uniformity with the other
-        ticking units (the event core calls every unit's ``skip_ticks``
-        with the span's first tick time); the big core's attribution is
+        ``now`` (the span's first tick time) keeps the signature uniform
+        with the other ticking units; the big core's attribution is
         time-independent, so it is unused."""
         self.breakdown.add(Stall.MISC, n)
         if self.obs is not None:

@@ -24,8 +24,8 @@ Like :class:`~repro.obs.host.HostScope`, a CritPath is a null-object
 opt-in: nothing in the simulator references it unless one is attached,
 stats stay bit-identical with and without it (determinism-tested), and
 it is never part of :class:`~repro.soc.SoCConfig` or cache keys. It
-requires the event loop — the legacy/dense loops advance all domains in
-lockstep and have no per-unit gating to attribute.
+requires the event loop — the dense loop advances all domains in
+lockstep and has no per-unit gating to attribute.
 
 The report (``bigvlittle-critpath-v1``; CLI ``bigvlittle critpath``)
 is the before/after measurement for the ROADMAP's vectorized-lane-

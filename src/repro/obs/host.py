@@ -27,8 +27,8 @@ opt-in: nothing in the simulator references it unless one is attached,
 ``stats`` stay bit-identical with and without it (the determinism tests
 enforce this), and it is never part of :class:`~repro.soc.SoCConfig` or
 cache keys. Unlike an Observation it requires the event loop
-(``loop="event"``, the default) — the legacy and dense loops have no
-per-unit dispatch seam to hook.
+(``skip=True``, the default) — the dense loop has no per-unit dispatch
+seam to hook.
 
 The report (``bigvlittle-hostprof-v1``; CLI ``bigvlittle hostprof``)
 answers the ROADMAP's vectorization question with a measurement: the

@@ -1,18 +1,17 @@
 """Event-driven simulation core: per-unit pending-event scheduling.
 
-The quiescence-skipping loop (``System.run(..., loop="legacy")``) probes
-every unit each span and still executes *every* unit on every active
-cycle, so one busy unit (a DRAM burst, a vector chime) forces the whole
-SoC to tick densely. This module replaces that loop with a per-unit
-event core: each ticking component owns a pending-event entry keyed on
-picoseconds — the first domain-grid tick at or after its own
-``next_work_ps()`` bound — and only units whose entry is due at the
-current iteration time execute. Idle units cost *nothing* per
-iteration: their per-cycle obs/breakdown charges are deferred and
-settled in bulk the moment their state is about to change.
+The dense reference loop (``System.run(..., skip=False)``) executes
+*every* unit on every tick of its domain, so one busy unit (a DRAM
+burst, a vector chime) drags the whole SoC through dense cycles. This
+module is the default loop (``skip=True``), a per-unit event core: each
+ticking component owns a pending-event entry keyed on picoseconds — the
+first domain-grid tick at or after its own ``next_work_ps()`` bound —
+and only units whose entry is due at the current iteration time
+execute. Idle units cost *nothing* per iteration: their per-cycle
+obs/breakdown charges are deferred and settled in bulk the moment their
+state is about to change.
 
-Correctness contract (same as docs/performance.md, carried over from
-the skipping scheduler):
+Correctness contract (docs/performance.md):
 
 * every stat except the ``sim.ticks_*`` executed/skipped split is
   bit-identical to ``run(skip=False)``;
@@ -22,8 +21,8 @@ the skipping scheduler):
   horizon are serviced at exactly the union-grid instants the dense
   loop would visit, so sample series and ``DeadlockError`` timestamps
   never move;
-* loop selection is a run-time knob only — never part of ``SoCConfig``
-  or cache keys.
+* ``skip`` is a run-time knob only — never part of ``SoCConfig`` or
+  cache keys.
 
 Determinism rules (docs/performance.md has the full wakeup graph):
 
@@ -51,8 +50,8 @@ Determinism rules (docs/performance.md has the full wakeup graph):
    ascending unit id, which is ground order by construction.
 
 **Dense bursts.** When consecutive iterations land on (near-)adjacent
-grid instants the per-event machinery — bound selection, heap
-maintenance, the re-arm pass — is pure overhead over the dense loop it
+grid instants the per-event machinery — bound selection, minimum
+re-peeks, the re-arm pass — is pure overhead over the dense loop it
 emulates, so after a short streak the loop drops into a burst: every
 awake unit ticks at every slot of its domain, in ground order, with no
 re-arm probes at all. Correctness rests on the probe contract alone
@@ -81,7 +80,6 @@ any other unit.
 
 from __future__ import annotations
 
-import heapq
 import time
 
 from repro.errors import DeadlockError
@@ -91,7 +89,7 @@ from repro.vector import DecoupledVectorEngine, VLittleEngine
 _INF = 1 << 60
 
 #: Deadlock-watchdog window in ps (must exceed any legitimate idle
-#: period, e.g. a long mode-switch penalty). Shared with the legacy
+#: period, e.g. a long mode-switch penalty). Shared with the dense
 #: loop so DeadlockError timestamps are identical across loops.
 WATCHDOG_PS = 20_000_000
 
@@ -158,71 +156,14 @@ def horizon_deadlock(system, t_ps, max_ns, loop):
                                                    reason="horizon"))
 
 
-class EventQueue:
-    """Min-heap of per-unit pending events with lazy cancellation.
-
-    Each unit owns at most one *armed* event — ``schedule`` re-arms it
-    (cancelling any previous time) and ``cancel`` disarms it. Stale heap
-    entries are dropped lazily on ``peek``/``pop``. Ties on the event
-    time are broken deterministically by ascending unit id, which the
-    event core assigns in ground (dense-loop) service order.
-    """
-
-    __slots__ = ("_heap", "_armed")
-
-    def __init__(self, n_units):
-        self._heap = []
-        self._armed = [None] * n_units  # armed time per unit, None = idle
-
-    def schedule(self, unit_id, t_ps):
-        """Arm (or re-arm) ``unit_id``'s pending event at ``t_ps``."""
-        if self._armed[unit_id] == t_ps:
-            return  # already armed at this time: the entry stays valid
-        self._armed[unit_id] = t_ps
-        heapq.heappush(self._heap, (t_ps, unit_id))
-
-    def cancel(self, unit_id):
-        """Disarm ``unit_id``; its heap entry (if any) goes stale."""
-        self._armed[unit_id] = None
-
-    def armed_time(self, unit_id):
-        """Currently armed time for ``unit_id``, or None."""
-        return self._armed[unit_id]
-
-    def peek(self):
-        """``(t_ps, unit_id)`` of the earliest armed event, else None."""
-        heap = self._heap
-        while heap:
-            t, uid = heap[0]
-            if self._armed[uid] == t:
-                return heap[0]
-            heapq.heappop(heap)  # stale: cancelled or re-armed elsewhere
-        return None
-
-    def pop(self):
-        """Pop and disarm the earliest armed event; None when empty."""
-        ent = self.peek()
-        if ent is None:
-            return None
-        heapq.heappop(self._heap)
-        self._armed[ent[1]] = None
-        return ent
-
-    def __len__(self):
-        """Number of armed units (stale heap entries don't count)."""
-        return sum(1 for t in self._armed if t is not None)
-
-    def __bool__(self):
-        return self.peek() is not None
-
-
 class _Unit:
     """Event-core bookkeeping for one ticking component.
 
     A unit is in exactly one scheduling state: *ready* (``exec_at == 0``
     — due at every tick of its domain until re-armed), *timed*
-    (``exec_at`` holds the armed grid instant, mirrored in its domain's
-    event heap) or *asleep* (``exec_at == _INF`` — waiting on a wakeup).
+    (``exec_at`` holds the armed grid instant, folded into its domain's
+    cached minimum) or *asleep* (``exec_at == _INF`` — waiting on a
+    wakeup).
     ``charged`` is the first domain-grid slot whose per-cycle charge is
     still deferred; the settle discipline (module docstring, rule 2)
     guarantees the unit's attribution inputs are untouched over the
@@ -363,23 +304,10 @@ def run_event_loop(system, max_ns):
     big1 = bigs[0] if len(bigs) == 1 else None
     # single-unit domains (always mem; big/little in most presets) keep
     # their cached minimum exact — the unit's own armed instant — and
-    # bypass the heap, the armed[] table and the stale re-peek entirely
+    # skip the re-peek scan entirely
     b1 = bunits[0] if len(bunits) == 1 else None
     l1u = lunits[0] if len(lunits) == 1 else None
     m1 = munits[0] if len(munits) == 1 else None
-    # small multi-unit domains (every preset: ≤ 5 littles, ≤ 2 big-domain
-    # units) skip the heap and the armed[] table too: re-arms just lower
-    # the cached domain minimum, and the hm == T re-peek recomputes it
-    # with a linear scan — cheaper than heappush churn for a handful of
-    # units, and a stale minimum still costs at most one closed-as-skipped
-    # iteration (the cached minima are lower bounds by contract)
-    scan0 = b1 is None and len(bunits) <= 6
-    scan1 = l1u is None and len(lunits) <= 6
-    scan2 = m1 is None and len(munits) <= 6
-    # one heap per domain so an idle domain's whole service block can be
-    # skipped with a handful of integer checks; armed times per unit
-    heap0, heap1, heap2 = [], [], []
-    armed = [None] * len(allunits)
     # every serviced unit starts ready: the dense loop ticks them at t=0
     rn0, rn1, rn2 = len(bunits), len(lunits), len(munits)
     dirty_n = [0, 0, 0]
@@ -397,8 +325,13 @@ def run_event_loop(system, max_ns):
         tl = 0
     else:
         tl = _INF
-    # cached per-domain heap minima: lower bounds on the true minima,
-    # re-peeked lazily after an iteration consumes (or disproves) them
+    # cached per-domain minima of the timed units' armed instants, so an
+    # idle domain's whole service block can be skipped with a handful of
+    # integer checks. In a multi-unit domain a re-arm just lowers the
+    # minimum and a unit going ready or asleep leaves it alone: each is
+    # only a lower bound, re-peeked with a linear scan after an
+    # iteration consumes (or disproves) it, and a stale minimum costs at
+    # most one closed-as-skipped iteration
     hm0 = hm1 = hm2 = _INF
     # last engine accept bound seen by the static wakeup edge; the
     # sentinel forces the first executed engine tick to fire it
@@ -421,8 +354,6 @@ def run_event_loop(system, max_ns):
     bmin = min(next_sample, wd_target, max_ps)
     last_instrs = -1
     done = system._done
-    heappop = heapq.heappop
-    heappush = heapq.heappush
     system._done_blocker = None
     system._ticks_big = system._ticks_little = system._ticks_mem = 0
     system._skipped_big = system._skipped_little = system._skipped_mem = 0
@@ -490,7 +421,7 @@ def run_event_loop(system, max_ns):
     try:
         while True:
             # ---- select T: earliest pending event across ready units
-            # (due at their domain's next tick) and the per-domain heaps
+            # (due at their domain's next tick) and the per-domain minima
             T = _INF
             if rn0:
                 T = tb
@@ -677,9 +608,9 @@ def run_event_loop(system, max_ns):
             # ---- 3. re-arm everything that executed or was woken (a
             # pure wakeup re-probe can only tighten a schedule, never
             # skip work). Inlined _rearm, hot path first: a unit on a
-            # long always-due streak skips the probe entirely — the
-            # legacy scheduler's adaptive stride, per unit. The ramp is
-            # slow (streak/4) and the cap small (8) so a unit that goes
+            # long always-due streak skips the probe entirely — an
+            # adaptive probe stride, per unit. The ramp is slow
+            # (streak/4) and the cap small (8) so a unit that goes
             # quiescent over-executes at most 8 ticks — executing is
             # always safe, only skipping needs the probe's proof — while
             # sustained busy runs amortize their probe cost away.
@@ -691,7 +622,6 @@ def run_event_loop(system, max_ns):
                         u.no_probe -= 1
                         continue  # stays ready (exec_at == 0 holds)
                     d = u.domain
-                    uid = u.uid
                     was_ready = u.exec_at == 0
                     now = tb if d == 0 else (tl if d == 1 else tm)
                     b = u.probe(now)
@@ -714,8 +644,6 @@ def run_event_loop(system, max_ns):
                                 hm1 = _INF
                             elif u is m1:
                                 hm2 = _INF
-                            elif armed[uid] is not None:
-                                armed[uid] = None
                             # a unit with static wake edges going
                             # quiescent is itself a wakeup: the input
                             # that re-armed it (e.g. the last VMU
@@ -743,32 +671,13 @@ def run_event_loop(system, max_ns):
                             elif u is m1:
                                 hm2 = t
                             elif d == 0:
-                                if scan0:
-                                    if t < hm0:
-                                        hm0 = t
-                                elif armed[uid] != t:
-                                    armed[uid] = t
-                                    heappush(heap0, (t, uid))
-                                    if t < hm0:
-                                        hm0 = t
+                                if t < hm0:
+                                    hm0 = t
                             elif d == 1:
-                                if scan1:
-                                    if t < hm1:
-                                        hm1 = t
-                                elif armed[uid] != t:
-                                    armed[uid] = t
-                                    heappush(heap1, (t, uid))
-                                    if t < hm1:
-                                        hm1 = t
-                            else:
-                                if scan2:
-                                    if t < hm2:
-                                        hm2 = t
-                                elif armed[uid] != t:
-                                    armed[uid] = t
-                                    heappush(heap2, (t, uid))
-                                    if t < hm2:
-                                        hm2 = t
+                                if t < hm1:
+                                    hm1 = t
+                            elif t < hm2:
+                                hm2 = t
                     if ready:
                         u.exec_at = 0
                         if u is b1:
@@ -777,8 +686,6 @@ def run_event_loop(system, max_ns):
                             hm1 = _INF
                         elif u is m1:
                             hm2 = _INF
-                        elif armed[uid] is not None:
-                            armed[uid] = None
                         if not was_ready:
                             if d == 0:
                                 rn0 += 1
@@ -795,61 +702,40 @@ def run_event_loop(system, max_ns):
                             rn2 -= 1
                 del pend[:]
                 dirty_n[0] = dirty_n[1] = dirty_n[2] = 0
-            # a cached heap minimum equal to T is spent: either its
-            # events were just serviced and re-armed later, or a cancel
-            # left it stale (it is only ever a lower bound) — re-peek,
-            # dropping entries whose armed time moved
+            # a cached minimum equal to T is spent: either its events
+            # were just serviced and re-armed later, or a unit went
+            # ready or asleep under it (it is only ever a lower bound)
+            # — re-peek by scanning the domain's armed instants
             if hm0 == T:
                 if b1 is not None:
                     ea = b1.exec_at
                     hm0 = ea if 0 < ea < _INF else _INF
-                elif scan0:
+                else:
                     hm0 = _INF
                     for u in bunits:
                         ea = u.exec_at
                         if 0 < ea < hm0:
                             hm0 = ea
-                else:
-                    while heap0:
-                        t0, uid0 = heap0[0]
-                        if armed[uid0] == t0:
-                            break
-                        heappop(heap0)
-                    hm0 = heap0[0][0] if heap0 else _INF
             if hm1 == T:
                 if l1u is not None:
                     ea = l1u.exec_at
                     hm1 = ea if 0 < ea < _INF else _INF
-                elif scan1:
+                else:
                     hm1 = _INF
                     for u in lunits:
                         ea = u.exec_at
                         if 0 < ea < hm1:
                             hm1 = ea
-                else:
-                    while heap1:
-                        t0, uid0 = heap1[0]
-                        if armed[uid0] == t0:
-                            break
-                        heappop(heap1)
-                    hm1 = heap1[0][0] if heap1 else _INF
             if hm2 == T:
                 if m1 is not None:
                     ea = m1.exec_at
                     hm2 = ea if 0 < ea < _INF else _INF
-                elif scan2:
+                else:
                     hm2 = _INF
                     for u in munits:
                         ea = u.exec_at
                         if 0 < ea < hm2:
                             hm2 = ea
-                else:
-                    while heap2:
-                        t0, uid0 = heap2[0]
-                        if armed[uid0] == t0:
-                            break
-                        heappop(heap2)
-                    hm2 = heap2[0][0] if heap2 else _INF
 
             # ---- 4. boundaries, in the dense loop's order: sample,
             # done, watchdog, horizon. The fused ``bmin`` bound keeps

@@ -5,16 +5,17 @@ cluster, little cluster, memory) ticks its components at its own period, so
 independent big/little voltage-frequency scaling (paper §VII) falls out of
 the same simulation that produces §V's iso-frequency results.
 
-The loop is a *quiescence-skipping* scheduler: every ticking component
-exposes a pure ``next_work_ps(now)`` bound — the earliest future picosecond
-at which it could change architectural state — and when all components in
-all three domains report no work before some time ``T``, the loop
-fast-forwards each domain clock to its first tick at or after ``T`` instead
-of grinding through provably idle iterations. Skipped ticks are replayed
-into the per-cycle accounting (stall breakdowns, observability categories,
-histograms) by each component's ``skip_ticks``, so every stat except the
-``sim.ticks_*`` executed/skipped split is bit-identical with skipping
-disabled (see docs/performance.md for the contract).
+Two run loops drive it. The default is the per-unit event core in
+:mod:`repro.soc.events`: every ticking component exposes a pure
+``next_work_ps(now)`` bound — the earliest future picosecond at which it
+could change architectural state — and only units whose bound is due
+execute, so provably idle ticks are skipped. Skipped ticks are replayed
+into the per-cycle accounting (stall breakdowns, observability
+categories, histograms) by each component's ``skip_ticks``. The dense
+loop in :meth:`System.run` (``skip=False``) ticks every component at
+every tick of its domain and is the reference: every stat except the
+``sim.ticks_*`` executed/skipped split is bit-identical between the two
+(see docs/performance.md for the contract).
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from repro.errors import ConfigError, WorkloadError
 from repro.mem import MemorySystem
 from repro.runtime.workstealing import WorkStealingRuntime
 from repro.soc.config import SoCConfig
+from repro.soc.events import (WATCHDOG_PS, horizon_deadlock, progress_check,
+                              run_event_loop, watchdog_deadlock)
 from repro.stats import RunResult
 from repro.trace import TaskProgram, Trace, TraceSource, single_trace_program
 from repro.vector import DecoupledVectorEngine, VLittleEngine
-
-_INF = 1 << 60
 
 
 class System:
@@ -189,41 +190,35 @@ class System:
         if obs.sampler is not None:
             obs.sampler.attach(self, obs)
 
-    def run(self, program=None, max_ns=50_000_000, quiet=True, obs=None,
-            skip=True, loop="event", hostscope=None, critpath=None):
+    def run(self, program=None, max_ns=50_000_000, obs=None, skip=True,
+            hostscope=None, critpath=None):
         """Simulate to completion; returns a :class:`RunResult`.
 
-        ``skip`` toggles idle-time elision entirely; ``loop`` picks the
-        scheduler that performs it: ``"event"`` (default) is the per-unit
-        event-driven core in :mod:`repro.soc.events`, ``"legacy"`` the
-        probe-every-span quiescence-skipping loop. Both are run-time knobs
-        only — deliberately *not* part of :class:`SoCConfig` (they must
-        never change ``canonical_json()`` or cache keys) and every stat
-        except the ``sim.ticks_*`` executed/skipped split is bit-identical
-        across all three schedules. ``skip=False`` always runs the dense
-        reference loop that grinds through every tick.
+        ``skip=True`` (default) runs the per-unit event core in
+        :mod:`repro.soc.events`, which elides idle time; ``skip=False``
+        runs the dense reference loop below, which grinds through every
+        tick. ``skip`` is a run-time knob only — deliberately *not* part
+        of :class:`SoCConfig` (it must never change ``canonical_json()``
+        or cache keys) — and every stat except the ``sim.ticks_*``
+        executed/skipped split is bit-identical across the two loops.
 
         ``hostscope`` attaches a :class:`~repro.obs.host.HostScope` that
         attributes host wall-time to per-unit groups by timing the event
         core's dispatch — also run-time-only and stat-invisible, but it
-        requires the event loop (the other loops have no per-unit
-        dispatch seam to hook).
+        requires the event loop (the dense loop has no per-unit dispatch
+        seam to hook).
 
         ``critpath`` attaches a :class:`~repro.obs.critpath.CritPath`
         that charges every advance of simulated time to the unit group
         whose armed event gated it, plus a wakeup-graph profile — the
         same contract as ``hostscope``: run-time-only, stat-invisible,
-        event loop required (the other loops advance all domains in
-        lockstep and have no per-unit gating to attribute).
+        event loop required (the dense loop advances all domains in
+        lockstep and has no per-unit gating to attribute).
         """
-        if loop not in ("event", "legacy"):
-            raise ConfigError(f"unknown run loop {loop!r}")
-        if hostscope is not None and (not skip or loop != "event"):
-            raise ConfigError("hostscope requires the event loop "
-                              "(skip=True, loop='event')")
-        if critpath is not None and (not skip or loop != "event"):
-            raise ConfigError("critpath requires the event loop "
-                              "(skip=True, loop='event')")
+        if hostscope is not None and not skip:
+            raise ConfigError("hostscope requires the event loop (skip=True)")
+        if critpath is not None and not skip:
+            raise ConfigError("critpath requires the event loop (skip=True)")
         self.hostscope = hostscope
         self.critpath = critpath
         if program is not None:
@@ -234,16 +229,15 @@ class System:
             # attach after load(): task-parallel programs may bypass the
             # engine, and only surviving components should own obs units
             self._attach_obs(obs)
-        if skip and loop == "event":
-            from repro.soc.events import run_event_loop
+        if skip:
             return run_event_loop(self, max_ns)
         pb, pl, pm = self._pb, self._pl, self._pm
-        bigs, littles, engine, ms = self.bigs, self.littles, self.engine, self.ms
+        bigs, littles, engine = self.bigs, self.littles, self.engine
         # pre-bound engine tick callables: the engine's domain is fixed for
         # the whole run, so resolve the isinstance dispatch once here
         big_engine_tick = engine.tick if isinstance(engine, DecoupledVectorEngine) else None
         little_engine_tick = engine.tick if isinstance(engine, VLittleEngine) else None
-        ms_tick = ms.tick
+        ms_tick = self.ms.tick
         done = self._done
         t_big = t_little = t_mem = 0
         t = 0
@@ -251,50 +245,17 @@ class System:
         # interval sampling: with no sampler the loop pays one int compare
         sampler = self.obs.sampler if self.obs is not None else None
         next_sample = sampler.interval_ps if sampler is not None else max_ps + 1
-        from repro.soc.events import WATCHDOG_PS as watchdog_ps
-        from repro.soc.events import (horizon_deadlock, progress_check,
-                                      watchdog_deadlock)
-        loop_name = "legacy" if skip else "dense"
+        watchdog_ps = WATCHDOG_PS
         last_progress_check = 0
         last_instrs = -1
         ticks_big = ticks_little = ticks_mem = 0
-        skipped_big = skipped_little = skipped_mem = 0
-        self._ticks_big = self._ticks_little = self._ticks_mem = 0
         self._skipped_big = self._skipped_little = self._skipped_mem = 0
         self._done_blocker = None
         self._wall_t0 = time.perf_counter()
-        # adaptive probe stride: probing every unit costs ~a dozen calls, so
-        # back off (doubling up to 64 iterations) while attempts keep
-        # failing and reset on success. Probes are pure, so the stride can
-        # never change simulated state — only how often we look for a skip.
-        stride = 1
-        since_probe = 0
 
-        def fast_forward(nb, nl, nm):
-            """Charge ``n`` skipped ticks to every unit of each domain and
-            advance the domain clocks past them. Compensation happens
-            *before* the clocks move so each unit sees the time of the
-            first skipped tick."""
-            nonlocal t_big, t_little, t_mem
-            nonlocal skipped_big, skipped_little, skipped_mem
-            if nb:
-                for c in bigs:
-                    c.skip_ticks(nb)
-                if big_engine_tick is not None:
-                    engine.skip_ticks(nb, t_big)
-                t_big += nb * pb
-                skipped_big += nb
-            if nl:
-                for c in littles:
-                    c.skip_ticks(nl, t_little)
-                if little_engine_tick is not None:
-                    engine.skip_ticks(nl, t_little)
-                t_little += nl * pl
-                skipped_little += nl
-            if nm:
-                ms.skip_ticks(nm, t_mem)
-                t_mem += nm * pm
-                skipped_mem += nm
+        def close():
+            self._ticks_big, self._ticks_little, self._ticks_mem = \
+                ticks_big, ticks_little, ticks_mem
 
         while t < max_ps:
             t = min(t_big, t_little, t_mem)
@@ -321,123 +282,19 @@ class System:
                 sampler.sample(t)
                 next_sample = t + sampler.interval_ps
             if done():
-                self._ticks_big, self._ticks_little, self._ticks_mem = \
-                    ticks_big, ticks_little, ticks_mem
-                self._skipped_big, self._skipped_little, self._skipped_mem = \
-                    skipped_big, skipped_little, skipped_mem
+                close()
                 return self._result(t + max(pb, pl, pm))
             # watchdog (window must exceed any legitimate idle period,
             # e.g. a long mode-switch penalty)
             if t - last_progress_check >= watchdog_ps:  # every ~20k ns
                 last_progress_check = t
-                stalled, instrs = progress_check(self, t, last_instrs,
-                                                 loop_name)
+                stalled, instrs = progress_check(self, t, last_instrs, "dense")
                 if stalled:
-                    self._ticks_big, self._ticks_little, self._ticks_mem = \
-                        ticks_big, ticks_little, ticks_mem
-                    self._skipped_big, self._skipped_little, self._skipped_mem = \
-                        skipped_big, skipped_little, skipped_mem
-                    raise watchdog_deadlock(self, t, loop_name)
+                    close()
+                    raise watchdog_deadlock(self, t, "dense")
                 last_instrs = instrs
-            if not skip:
-                continue
-            since_probe += 1
-            if since_probe < stride:
-                continue
-            since_probe = 0
-            # probe every unit at its own next tick time; 0 from any unit
-            # means its next tick does real work and nothing may be
-            # skipped. Cores go first: they veto most often (fetch/issue
-            # retry every tick while running) and their probe is cheapest.
-            T = _INF
-            for c in bigs:
-                b = c.next_work_ps(t_big)
-                if not b:
-                    T = 0
-                    break
-                if b < T:
-                    T = b
-            if T and engine is not None:
-                b = engine.next_work_ps(t_big if little_engine_tick is None
-                                        else t_little)
-                if not b:
-                    T = 0
-                elif b < T:
-                    T = b
-            if T:
-                for c in littles:
-                    b = c.next_work_ps(t_little)
-                    if not b:
-                        T = 0
-                        break
-                    if b < T:
-                        T = b
-            if T:
-                b = ms.next_work_ps(t_mem)
-                if not b:
-                    T = 0
-                elif b < T:
-                    T = b
-            nb = nl = nm = 0
-            if T:
-                # clamp to the events the loop itself must observe at their
-                # original times: the watchdog window and the max_ns
-                # horizon (both independent of obs/sampler attachment, so
-                # the executed/skipped split never changes when they are)
-                wd = last_progress_check + watchdog_ps
-                if wd < T:
-                    T = wd
-                if max_ps < T:
-                    T = max_ps
-                if T > t_big:
-                    nb = (T - t_big + pb - 1) // pb
-                if T > t_little:
-                    nl = (T - t_little + pl - 1) // pl
-                if T > t_mem:
-                    nm = (T - t_mem + pm - 1) // pm
-                if nb + nl + nm < 16:
-                    # too short to pay for the compensation calls: skipping
-                    # is always optional, so let these ticks execute
-                    nb = nl = nm = 0
-            if nb or nl or nm:
-                # sampler boundaries that fall inside the span fire at
-                # their exact original grid points: compensate every tick
-                # up to and *including* the boundary (the original loop
-                # samples after ticking it), sample, and keep going —
-                # never forcing an executed tick, so attaching a sampler
-                # cannot perturb the skip schedule either
-                while next_sample < T:
-                    g = t_big if next_sample <= t_big else \
-                        t_big + (next_sample - t_big + pb - 1) // pb * pb
-                    gl = t_little if next_sample <= t_little else \
-                        t_little + (next_sample - t_little + pl - 1) // pl * pl
-                    if gl < g:
-                        g = gl
-                    gm = t_mem if next_sample <= t_mem else \
-                        t_mem + (next_sample - t_mem + pm - 1) // pm * pm
-                    if gm < g:
-                        g = gm
-                    if g >= T:
-                        break
-                    fast_forward(
-                        (g - t_big) // pb + 1 if g >= t_big else 0,
-                        (g - t_little) // pl + 1 if g >= t_little else 0,
-                        (g - t_mem) // pm + 1 if g >= t_mem else 0,
-                    )
-                    sampler.sample(g)
-                    next_sample = g + sampler.interval_ps
-                nb = (T - t_big + pb - 1) // pb if T > t_big else 0
-                nl = (T - t_little + pl - 1) // pl if T > t_little else 0
-                nm = (T - t_mem + pm - 1) // pm if T > t_mem else 0
-                fast_forward(nb, nl, nm)
-                stride = 1
-            elif stride < 64:
-                stride += stride
-        self._ticks_big, self._ticks_little, self._ticks_mem = \
-            ticks_big, ticks_little, ticks_mem
-        self._skipped_big, self._skipped_little, self._skipped_mem = \
-            skipped_big, skipped_little, skipped_mem
-        raise horizon_deadlock(self, t, max_ns, loop_name)
+        close()
+        raise horizon_deadlock(self, t, max_ns, "dense")
 
     def _progress_signature(self):
         """Monotonic global progress count for the deadlock watchdog:
@@ -486,7 +343,7 @@ class System:
         # simulated clock ticks per domain: deterministic work counters that
         # let the harness report sim throughput (ticks / wall second).
         # ticks_* counts only *executed* loop ticks; ticks_skipped_* counts
-        # ticks the quiescence scheduler fast-forwarded past, so
+        # ticks the event core proved idle and skipped, so
         # ticks_X + ticks_skipped_X is invariant under the skip toggle
         stats["sim.ticks_big"] = self._ticks_big
         stats["sim.ticks_little"] = self._ticks_little

@@ -4,8 +4,8 @@ gating, reports.
 Contract: the per-unit-group critical sim-times sum EXACTLY to the
 total simulated time on every §IV system matrix preset (tiling is the
 attribution invariant, not an approximation), an attached CritPath
-never changes a single stat, and the legacy/dense loops — which have no
-per-unit gating — refuse it.
+never changes a single stat, and the dense loop — which has no
+per-unit gating — refuses it.
 """
 
 import json
@@ -81,8 +81,6 @@ def test_wakeup_edges_are_counted_and_resolved():
 def test_critpath_requires_event_loop():
     with pytest.raises(ConfigError, match="event loop"):
         _run(critpath=CritPath(), skip=False)
-    with pytest.raises(ConfigError, match="event loop"):
-        _run(critpath=CritPath(), loop="legacy")
 
 
 def test_report_json_roundtrip(tmp_path):

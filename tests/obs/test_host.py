@@ -4,7 +4,7 @@ Contract: a hostscoped run attributes at least 95% of its measured wall
 time to unit groups (the acceptance bar — by construction the residual
 ``scheduler`` group makes coverage exact at stride 1), never perturbs
 simulated ``stats``, restores every class-level seam it patched, and
-refuses the loops that have no per-unit dispatch seam.
+refuses the dense loop, which has no per-unit dispatch seam.
 """
 
 import json
@@ -89,8 +89,6 @@ def test_patched_seams_are_restored():
 def test_hostscope_requires_event_loop():
     with pytest.raises(ConfigError, match="event loop"):
         _run(hostscope=HostScope(), skip=False)
-    with pytest.raises(ConfigError, match="event loop"):
-        _run(hostscope=HostScope(), loop="legacy")
 
 
 def test_bad_stride_rejected():

@@ -1,7 +1,7 @@
-"""Differential-equivalence harness: legacy vs event run loops.
+"""Differential-equivalence harness: the event core vs a reference arm.
 
 The event core (``repro.soc.events``) must be *stat-invisible*: for any
-config and program, ``run(loop="event")`` and ``run(loop="legacy")``
+config and program, ``run()`` and the dense reference ``run(skip=False)``
 produce bit-identical :class:`RunResult` stats apart from the
 ``sim.ticks_*`` executed/skipped META split, whose per-domain sums must
 agree (both equal the dense tick total). This module generates seeded
@@ -10,21 +10,19 @@ chime count, L2 banks, DVFS point) crossed with workload kinds (dense
 kernel, the ``switch_thrash``/``dram_chain`` synthetics, work-stealing
 task-parallel) — and checks each pair through :mod:`repro.obs.diff`.
 
-Used two ways:
+Two reference arms (:data:`ARMS`):
 
-* ``tests/soc/test_skip_equivalence.py`` parametrizes its randomized
-  matrix over :func:`make_case`/:func:`check_case`;
-* CI runs it standalone as the dedicated differential-equivalence step,
-  once per reference arm:
+* ``dense`` — the dense loop that executes every tick;
+* ``batched-off`` — the same event loop with the VLITTLE engine's
+  per-lane scalar execution forced (``VLittleEngine.batched = False``),
+  which pins the chime-batched lane executor.
 
-      PYTHONPATH=src python -m tests.soc.equivalence --cases 30
-      PYTHONPATH=src python -m tests.soc.equivalence --cases 30 \\
-          --loop-arm batched-off
+``tests/soc/test_skip_equivalence.py`` parametrizes its randomized
+matrix over seeds 0–29 × both arms through :func:`make_case` and
+:func:`check_case`. Run it standalone for wider seed ranges:
 
-The ``batched-off`` arm pins the VLITTLE engine's batched lane executor
-against the same event loop with per-lane scalar execution forced
-(``VLittleEngine.batched = False``) — the tentpole contract of the
-chime-batched executor.
+    PYTHONPATH=src python -m tests.soc.equivalence --seed 30 --cases 100
+    PYTHONPATH=src python -m tests.soc.equivalence --loop-arm batched-off
 """
 
 from __future__ import annotations
@@ -45,6 +43,9 @@ from tests.soc.test_system import (alu_trace, task_program, vec_trace)
 DOMAINS = ("big", "little", "mem")
 TICK_KEYS = tuple(f"sim.ticks_{d}" for d in DOMAINS) + \
     tuple(f"sim.ticks_skipped_{d}" for d in DOMAINS)
+
+#: reference arms the event core is checked against
+ARMS = ("dense", "batched-off")
 
 #: workload kinds; seeds rotate through these so any contiguous seed
 #: range covers all of them
@@ -117,48 +118,44 @@ def split_meta(result):
 def _run_forced_scalar(case):
     """Event-loop run with the VLITTLE engine's batched lane executor
     forced off (the per-lane scalar path for every tick). ``batched`` is
-    a run-time knob like ``loop``/``skip``: never in SoCConfig or cache
-    keys, and by contract stat-invisible."""
+    a run-time knob like ``skip``: never in SoCConfig or cache keys, and
+    by contract stat-invisible."""
     sys_ = System(case.cfg)
     if isinstance(sys_.engine, VLittleEngine):
         sys_.engine.batched = False
-    return sys_.run(case.program, loop="event")
+    return sys_.run(case.program)
 
 
-def check_case(case, arm="legacy"):
-    """Run both arms of ``case``; raise AssertionError on any
-    divergence. Returns the two results.
-
-    ``arm="legacy"`` compares the legacy scheduler against the event
-    core; ``arm="batched-off"`` compares the event core's batched lane
-    executor against the same loop with per-lane scalar execution
-    forced (``VLittleEngine.batched = False``).
-    """
+def check_case(case, arm="dense"):
+    """Run the event core and the ``arm`` reference (one of
+    :data:`ARMS`) on ``case``; raise AssertionError on any divergence.
+    Returns ``(reference, event)``."""
     if arm == "batched-off":
-        legacy = _run_forced_scalar(case)
+        ref = _run_forced_scalar(case)
         names = ("scalar", "batched")
     else:
-        legacy = System(case.cfg).run(case.program, loop="legacy")
-        names = ("legacy", "event")
-    event = System(case.cfg).run(case.program, loop="event")
-    meta_l, rest_l = split_meta(legacy)
+        ref = System(case.cfg).run(case.program, skip=False)
+        names = ("dense", "event")
+    event = System(case.cfg).run(case.program)
+    meta_r, rest_r = split_meta(ref)
     meta_e, rest_e = split_meta(event)
-    report = diff_stats(rest_l, rest_e, *names)
+    report = diff_stats(rest_r, rest_e, *names)
     assert report.identical, (
         f"{case.ident}: stat divergence\n" + report.format_table())
-    assert legacy.cycles == event.cycles, (
-        f"{case.ident}: cycles {legacy.cycles} != {event.cycles}")
+    assert ref.cycles == event.cycles, (
+        f"{case.ident}: cycles {ref.cycles} != {event.cycles}")
     for d in DOMAINS:
-        sl = meta_l[f"sim.ticks_{d}"] + meta_l[f"sim.ticks_skipped_{d}"]
+        sr = meta_r[f"sim.ticks_{d}"] + meta_r[f"sim.ticks_skipped_{d}"]
         se = meta_e[f"sim.ticks_{d}"] + meta_e[f"sim.ticks_skipped_{d}"]
-        assert sl == se, (
-            f"{case.ident}: {d} tick total {sl} (legacy) != {se} (event)")
+        assert sr == se, (
+            f"{case.ident}: {d} tick total {sr} ({names[0]}) != "
+            f"{se} ({names[1]})")
     # (Work-stealing programs may skip too: a worker whose impure source
     # could claim work on the next tick vetoes its own skip, so every
     # task-steal race resolves at exactly the dense loop's instant —
     # the bit-identical diff above is the proof. Only the META split
     # differs between the arms.)
-    return legacy, event
+    return ref, event
 
 
 def main(argv=None):
@@ -166,17 +163,16 @@ def main(argv=None):
     ap.add_argument("--cases", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0,
                     help="first seed of the contiguous seed range")
-    ap.add_argument("--loop-arm", choices=("legacy", "batched-off"),
-                    default="legacy",
-                    help="reference arm: the legacy scheduler, or the "
-                         "event core with batched lane execution forced "
-                         "off (scalar per-lane path)")
+    ap.add_argument("--loop-arm", choices=ARMS, default="dense",
+                    help="reference arm: the dense loop, or the event "
+                         "core with batched lane execution forced off "
+                         "(scalar per-lane path)")
     args = ap.parse_args(argv)
     failures = 0
     for seed in range(args.seed, args.seed + args.cases):
         case = make_case(seed)
         try:
-            legacy, event = check_case(case, arm=args.loop_arm)
+            _, event = check_case(case, arm=args.loop_arm)
         except AssertionError as exc:
             failures += 1
             print(f"FAIL {case.ident}: {exc}")

@@ -1,84 +1,19 @@
-"""Event-core scheduling structure: the EventQueue contract and the
-per-unit must-actually-idle guarantee.
+"""Event-core scheduling: the per-unit must-actually-idle guarantee.
 
-The loop in ``repro.soc.events`` inlines its per-domain heaps for
-speed, but the :class:`EventQueue` class captures the contract those
-inlined heaps follow — one armed event per unit, lazy stale-entry
-cancellation, deterministic uid tie-breaks — so it is tested directly
-here. The second half checks the core's defining property end-to-end:
-units the dense loop would tick thousands of times while quiescent
-execute (almost) nothing under the event core, visible through
+The event core's defining property, checked end-to-end: units the dense
+loop would tick thousands of times while quiescent execute (almost)
+nothing under the event core, visible through
 ``system._event_unit_ticks``.
 """
 
-import pytest
-
-from repro.obs import Observation
 from repro.soc import System, preset
-from repro.soc.events import EventQueue
 
 from tests.soc.test_system import alu_trace, vec_trace
 
-DOMAINS = ("big", "little", "mem")
-
-
-# ------------------------------------------------------------ EventQueue
-
-def test_ties_break_by_unit_id():
-    q = EventQueue(4)
-    # schedule out of uid order at the same instant
-    q.schedule(3, 100)
-    q.schedule(0, 100)
-    q.schedule(2, 100)
-    assert q.pop() == (100, 0)
-    assert q.pop() == (100, 2)
-    assert q.pop() == (100, 3)
-    assert q.pop() is None
-
-
-def test_rearm_moves_the_event():
-    q = EventQueue(2)
-    q.schedule(0, 500)
-    q.schedule(0, 200)  # re-arm earlier: the 500 entry goes stale
-    assert q.peek() == (200, 0)
-    assert q.pop() == (200, 0)
-    assert q.pop() is None  # the stale 500 entry must not resurface
-
-
-def test_rearm_later_drops_the_earlier_entry():
-    q = EventQueue(2)
-    q.schedule(1, 200)
-    q.schedule(1, 900)  # re-arm later
-    assert q.pop() == (900, 1)
-    assert q.pop() is None
-
-
-def test_rearm_same_time_is_idempotent():
-    q = EventQueue(1)
-    q.schedule(0, 300)
-    q.schedule(0, 300)
-    assert q.pop() == (300, 0)
-    assert q.pop() is None
-
-
-def test_cancel_goes_stale_lazily():
-    q = EventQueue(3)
-    q.schedule(0, 100)
-    q.schedule(1, 150)
-    q.cancel(0)
-    assert q.armed_time(0) is None
-    assert q.armed_time(1) == 150
-    assert len(q) == 1
-    assert q.peek() == (150, 1)  # the cancelled entry is skipped
-    assert q.pop() == (150, 1)
-    assert not q
-
-
-# ------------------------------------------- must-actually-idle guard
 
 def _unit_ticks(cfg, program):
     system = System(cfg)
-    result = system.run(program, loop="event")
+    result = system.run(program)
     return system._event_unit_ticks, result
 
 

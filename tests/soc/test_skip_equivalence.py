@@ -1,19 +1,20 @@
-"""The quiescence-skipping scheduler must be invisible in the stats.
+"""Skipping idle ticks must be invisible in the stats.
 
 ``System.run(..., skip=False)`` grinds through every tick of every clock
-domain; ``skip=True`` (the default) fast-forwards over spans where every
-unit's ``next_work_ps`` proves it cannot change state. The contract
-(docs/performance.md) is that the two runs produce **bit-identical**
-``RunResult.stats`` apart from the ``sim.ticks_*`` executed/skipped
-split, and that per domain
+domain; ``skip=True`` (the default) runs the event core, which
+executes a unit only when its ``next_work_ps`` says it can change state.
+The contract (docs/performance.md) is that the two runs produce
+**bit-identical** ``RunResult.stats`` apart from the ``sim.ticks_*``
+executed/skipped split, and that per domain
 
     on.ticks_X + on.ticks_skipped_X == off.ticks_X + off.ticks_skipped_X
 
 (the forced-off arm reports zero skipped ticks, so its executed count is
 the full tick total). The parametrization sweeps the Section IV system
-matrix — serial scalar, task-parallel, VLITTLE, DVE, IVU — plus a
-DVFS-skewed clock grid where the three domains tick at unrelated
-periods.
+matrix — serial scalar, task-parallel, VLITTLE, DVE, IVU — plus an
+8-little task-parallel system (a clock domain with more units than any
+preset builds) and a DVFS-skewed clock grid where the three domains
+tick at unrelated periods.
 """
 
 import pytest
@@ -33,6 +34,8 @@ def _cases():
     yield "serial-big", preset("1b"), alu_trace(120)
     yield "serial-little", preset("1L"), stream_trace(64)
     yield "task-parallel", preset("1b-4L"), task_program(n_tasks=6, body=40)
+    yield ("task-parallel-8L", preset("1b-4L", n_little=8),
+           task_program(n_tasks=16, body=40))
     cfg = preset("1b-4VL", switch_penalty=50)
     yield "vlittle", cfg, vec_trace(cfg.vlen_bits(4), n=96)
     cfg = preset("1bDV")
@@ -104,20 +107,23 @@ def test_skipping_actually_happens_on_idle_heavy_case():
     assert skipped > 0
 
 
-# ---- seeded randomized differential matrix: event vs legacy ----------
+# ---- seeded randomized differential matrix: event vs reference ------
 #
 # The cases rotate through the workload kinds (dense kernel, the
 # switch_thrash/dram_chain synthetics, work-stealing task-parallel)
 # while randomizing little-core count, vector length, chime count, L2
-# banks and the DVFS point; tests/soc/equivalence.py holds the
-# generator and the bit-identity check (CI also runs it standalone).
+# banks and the DVFS point; each is checked against both reference arms
+# (the dense loop, and the event loop with batched lane execution
+# forced off). tests/soc/equivalence.py holds the generator and the
+# bit-identity check.
 
-from tests.soc.equivalence import check_case, make_case  # noqa: E402
+from tests.soc.equivalence import ARMS, check_case, make_case  # noqa: E402
 
 N_RANDOM_CASES = 30
 _MATRIX = [make_case(seed) for seed in range(N_RANDOM_CASES)]
 
 
+@pytest.mark.parametrize("arm", ARMS)
 @pytest.mark.parametrize("case", _MATRIX, ids=[c.ident for c in _MATRIX])
-def test_event_matches_legacy_randomized(case):
-    check_case(case)
+def test_event_matches_reference_randomized(case, arm):
+    check_case(case, arm=arm)

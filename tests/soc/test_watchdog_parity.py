@@ -3,10 +3,11 @@ payload every DeadlockError now carries.
 
 Contract: a wedged workload (an instruction source that never produces
 but never reports done) deadlocks with the *same* timestamp and the
-*same* message in the event loop, the legacy skipping loop, and the
-dense reference loop — the watchdog is part of the simulation contract,
-not a loop implementation detail. The attached ``err.forensics`` report
-is diagnostic-only and must name the stuck unit.
+*same* message in the event loop (``skip=True``) and the dense
+reference loop (``skip=False``) — the watchdog is part of the
+simulation contract, not a loop implementation detail. The attached
+``err.forensics`` report is diagnostic-only and must name the stuck
+unit.
 """
 
 import pytest
@@ -16,8 +17,7 @@ from repro.obs.forensics import SCHEMA
 from repro.soc import System, preset
 from repro.trace.source import InstrSource
 
-COMBOS = [(True, "event"), (True, "legacy"), (False, "event"),
-          (False, "legacy")]
+SKIPS = (True, False)
 
 
 class WedgedSource(InstrSource):
@@ -43,14 +43,14 @@ def _wedged_system():
     return sys_
 
 
-def _deadlock(skip, loop, **kwargs):
+def _deadlock(skip, **kwargs):
     with pytest.raises(DeadlockError) as ei:
-        _wedged_system().run(skip=skip, loop=loop, **kwargs)
+        _wedged_system().run(skip=skip, **kwargs)
     return ei.value
 
 
 def test_watchdog_fires_identically_across_loops():
-    errs = {combo: _deadlock(*combo) for combo in COMBOS}
+    errs = {skip: _deadlock(skip) for skip in SKIPS}
     cycles = {e.cycle for e in errs.values()}
     messages = {str(e) for e in errs.values()}
     assert len(cycles) == 1 and len(messages) == 1
@@ -60,15 +60,15 @@ def test_watchdog_fires_identically_across_loops():
 
 
 def test_horizon_fires_identically_across_loops():
-    errs = {combo: _deadlock(*combo, max_ns=10) for combo in COMBOS}
+    errs = {skip: _deadlock(skip, max_ns=10) for skip in SKIPS}
     assert {e.cycle for e in errs.values()} == {10_000}
     assert {str(e) for e in errs.values()} == {
         "simulation deadlocked at cycle 10000: exceeded max_ns=10"}
 
 
-@pytest.mark.parametrize("skip,loop", COMBOS)
-def test_forensics_names_the_wedged_unit(skip, loop):
-    rep = _deadlock(skip, loop).forensics
+@pytest.mark.parametrize("skip", SKIPS)
+def test_forensics_names_the_wedged_unit(skip):
+    rep = _deadlock(skip).forensics
     assert rep is not None and rep["schema"] == SCHEMA
     assert rep["reason"] == "watchdog"
     assert rep["system"] == "1b"
@@ -80,13 +80,13 @@ def test_forensics_names_the_wedged_unit(skip, loop):
 
 
 def test_horizon_forensics_reason_and_timestamp():
-    rep = _deadlock(True, "event", max_ns=10).forensics
+    rep = _deadlock(True, max_ns=10).forensics
     assert rep["reason"] == "horizon"
     assert rep["t_ps"] == 10_000 and rep["t_ns"] == 10
 
 
 def test_forensics_never_touches_the_message():
-    e = _deadlock(True, "event")
+    e = _deadlock(True)
     bare = DeadlockError(e.cycle, e.detail)
     assert str(bare) == str(e)
     assert bare.forensics is None
