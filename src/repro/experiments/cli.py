@@ -677,7 +677,8 @@ def _serve_parser():
     ap.add_argument("--port", type=int, default=8421,
                     help="TCP port; 0 picks a free one (default: 8421)")
     ap.add_argument("--workers", type=int, default=2, metavar="N",
-                    help="job-queue worker threads (default: 2)")
+                    help="job-queue worker threads, and simulation "
+                         "processes in the pool they share (default: 2)")
     ap.add_argument("--cache-root", default="results", metavar="DIR",
                     help="service state root: cache/, artifacts/, and the "
                          "service/jobs.jsonl journal live under it "
@@ -685,9 +686,6 @@ def _serve_parser():
     ap.add_argument("--shards", type=int, default=2, metavar="N",
                     help="hex-prefix length sharding cache and artifact "
                          "dirs (default: 2 = 256-way)")
-    ap.add_argument("--runner-jobs", type=int, default=1, metavar="N",
-                    help="simulation processes per worker's ParallelRunner "
-                         "sweep (default: 1 = in-process)")
     ap.add_argument("--batch", type=int, default=4, metavar="N",
                     help="max queued jobs one worker claims per sweep "
                          "(default: 4)")
@@ -709,8 +707,8 @@ def _serve_main(argv):
 
     app = ServiceApp(cache_root=args.cache_root, host=args.host,
                      port=args.port, workers=args.workers,
-                     shards=args.shards, runner_jobs=args.runner_jobs,
-                     batch=args.batch, max_retries=args.max_retries,
+                     shards=args.shards, batch=args.batch,
+                     max_retries=args.max_retries,
                      telemetry_path=args.telemetry)
     app.start()
     print(f"sweep service on http://{args.host}:{app.port} "

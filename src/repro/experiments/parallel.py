@@ -10,8 +10,9 @@ The runner:
 2. deduplicates the misses by cache key, so a sweep that mentions the same
    pair twice simulates it once;
 3. simulates the remaining keys on ``jobs`` worker processes (serially
-   in-process for ``jobs <= 1``), each worker writing its result into the
-   shared on-disk cache as it finishes, so an interrupted sweep resumes;
+   in-process for ``jobs <= 1``), or on a long-lived executor the caller
+   passes as ``pool=``; the parent stores each result in the cache as it
+   arrives, so an interrupted sweep resumes;
 4. emits optional per-run progress lines (through the
    :mod:`repro.log` structured logger) and a wall-clock/hit-rate/worker-
    utilization summary.
@@ -32,10 +33,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.experiments import telemetry
-from repro.experiments.cache import SIM_VERSION, ResultCache, get_cache
+from repro.experiments.cache import SIM_VERSION, get_cache
 from repro.experiments.runner import run_pair
 from repro.log import get_logger
 from repro.soc import preset
@@ -62,29 +64,36 @@ class RunRequest:
             f" [{knobs}]" if knobs else "")
 
 
-def _simulate(req, cache_dir, disk, use_cache):
-    """Worker body: simulate one request, persisting through a local cache.
+def _simulate(req):
+    """Worker body: simulate one request, touching no cache.
 
-    Returns the result dict plus the worker's identity and busy interval;
-    the parent turns those into the authoritative telemetry events (the
+    The parent already looked the key up, and it is the only writer: it
+    stores the result in its own cache, in that cache's layout.  Returns
+    the result dict plus the worker's identity and busy interval; the
+    parent turns those into the authoritative telemetry events (the
     worker disables its inherited telemetry so nothing is double-logged).
     """
     telemetry.disable()
-    cache = ResultCache(cache_dir=cache_dir, disk=disk and use_cache)
     t_start = time.time()
-    result = run_pair(req.system, req.workload, req.scale,
-                      use_cache=use_cache, cache=cache, **req.overrides)
+    result = run_pair(req.system, req.workload, req.scale, use_cache=False,
+                      **req.overrides)
     return {"result": result.to_dict(), "pid": os.getpid(),
             "t_start": t_start, "t_end": time.time()}
 
 
 class ParallelRunner:
-    """Run many :class:`RunRequest`\\ s concurrently with shared caching."""
+    """Run many :class:`RunRequest`\\ s concurrently with shared caching.
 
-    def __init__(self, jobs=None, use_cache=True, cache=None):
+    ``pool`` is an executor that outlives the runner (the sweep service
+    keeps one per server); the runner then simulates on it rather than
+    on a process pool of its own, and ``jobs`` is the pool's size.
+    """
+
+    def __init__(self, jobs=None, use_cache=True, cache=None, pool=None):
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.use_cache = use_cache
         self.cache = cache if cache is not None else get_cache()
+        self.pool = pool
         self._summary = None
         self._levels = None
 
@@ -145,44 +154,29 @@ class ParallelRunner:
                 self._log(f"[{done}/{n_sim}] {req.label()} simulated in "
                           f"{result.timing.get('wall_s', 0.0):.2f}s")
 
-        if n_sim and self.jobs > 1:
+        if n_sim and (self.pool is not None or self.jobs > 1):
             workers = min(self.jobs, n_sim)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futs = {
-                    pool.submit(_simulate, req, self.cache.cache_dir,
-                                self.cache.disk, use_cache): (key, req, idxs)
-                    for key, (req, idxs) in pending.items()
-                }
+            with (nullcontext(self.pool) if self.pool is not None
+                  else ProcessPoolExecutor(max_workers=workers)) as pool:
+                futs = {pool.submit(_simulate, req): (key, req, idxs)
+                        for key, (req, idxs) in pending.items()}
                 not_done = set(futs)
-                while not_done:
-                    ready, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                    for fut in ready:
-                        key, req, idxs = futs[fut]
-                        payload = fut.result()
-                        result = RunResult.from_dict(payload["result"])
-                        busy_s += payload["t_end"] - payload["t_start"]
-                        if tel is not None:
-                            # the worker disabled its inherited telemetry;
-                            # replay its run from the returned payload
-                            tel.event("run_start", key=key, system=req.system,
-                                      workload=req.workload, scale=req.scale,
-                                      sim_version=SIM_VERSION)
-                            timing = result.timing
-                            tel.event(
-                                "run_end", key=key,
-                                wall_s=round(timing.get("wall_s", 0.0), 6),
-                                sim_wall_s=round(
-                                    timing.get("sim_wall_s",
-                                               timing.get("wall_s", 0.0)), 6),
-                                load_wall_s=round(
-                                    timing.get("load_wall_s", 0.0), 6),
-                                level="disk" if timing.get("from_cache")
-                                else "fresh",
-                                cycles=result.cycles)
-                            tel.span(payload["pid"], req.label(),
-                                     payload["t_start"], payload["t_end"],
-                                     key=key)
-                        finish(key, req, idxs, result)
+                try:
+                    while not_done:
+                        ready, not_done = wait(not_done,
+                                               return_when=FIRST_COMPLETED)
+                        for fut in ready:
+                            key, req, idxs = futs[fut]
+                            payload = fut.result()
+                            result = RunResult.from_dict(payload["result"])
+                            busy_s += payload["t_end"] - payload["t_start"]
+                            if tel is not None:
+                                self._replay(tel, key, req, payload, result)
+                            finish(key, req, idxs, result)
+                finally:
+                    # a failed sweep leaves no work queued on a shared pool
+                    for fut in not_done:
+                        fut.cancel()
         else:
             workers = 1 if n_sim else 0
             for key, (req, idxs) in pending.items():
@@ -219,6 +213,22 @@ class ParallelRunner:
                                       if isinstance(v, float) else v
                                       for k, v in self._summary.items()})
         return results
+
+    @staticmethod
+    def _replay(tel, key, req, payload, result):
+        """Emit a pool worker's run as telemetry: the worker disabled its
+        inherited sink, so its events come from the returned payload."""
+        tel.event("run_start", key=key, system=req.system,
+                  workload=req.workload, scale=req.scale,
+                  sim_version=SIM_VERSION)
+        timing = result.timing
+        tel.event("run_end", key=key,
+                  wall_s=round(timing.get("wall_s", 0.0), 6),
+                  sim_wall_s=round(timing.get("sim_wall_s",
+                                              timing.get("wall_s", 0.0)), 6),
+                  load_wall_s=0.0, level="fresh", cycles=result.cycles)
+        tel.span(payload["pid"], req.label(), payload["t_start"],
+                 payload["t_end"], key=key)
 
     def warm(self, requests, progress=False):
         """Fill the cache for ``requests``; the sweep's serial readers then

@@ -18,10 +18,15 @@ Two artifact classes exist, mirroring :mod:`repro.service.schemas`:
   artifact against a local run with ``bigvlittle diff``.
 * **simulated** (``timeline``, ``phases``) — require one instrumented
   simulation (an :class:`IntervalSampler` run).  Workers generate them
-  when the submit body asks (``"artifacts": ["timeline", "phases"]``);
-  ``phases`` derives from the written timeline dump with *no* second
-  simulation.  ``GET`` never simulates: an absent simulated artifact is
-  a 404 with a hint, keeping the serving hot path pure cache.
+  when the submit body asks (``"artifacts": ["timeline", "phases"]``):
+  the run happens on the worker pool's simulation processes
+  (:func:`render_timeline`), and ``phases`` derives from its timeline
+  dump with *no* second simulation.  ``GET`` never simulates: an absent
+  simulated artifact is a 404 with a hint, keeping the serving hot path
+  pure cache.
+
+Every file lands through :meth:`ArtifactStore.put_bytes` (temp file +
+rename), so a reader sees a whole artifact or none.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import os
 import tempfile
 
 from repro.obs.diff import dump_result
-from repro.service.schemas import SERVICE_SCHEMA
+from repro.service.schemas import SERVICE_SCHEMA, SIMULATED_ARTIFACTS
 
 #: artifact name -> (filename, content type)
 ARTIFACT_FILES = {
@@ -107,12 +112,18 @@ DERIVED_RENDERERS = {
 }
 
 
+def _json_bytes(doc):
+    """``doc`` serialized byte for byte as the observability dumps'
+    ``to_json`` writes it."""
+    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
 def simulate_timeline(run_spec, interval=TIMELINE_INTERVAL):
     """One fresh instrumented run of ``run_spec`` returning the sampler.
 
     This is the only simulation the artifact layer ever performs, and only
-    worker threads call it (for submit bodies that request ``timeline`` /
-    ``phases``); the HTTP GET path never reaches here.
+    for submit bodies that request ``timeline`` / ``phases``; the HTTP GET
+    path never reaches here.
     """
     from repro.experiments.runner import _program_for
     from repro.obs import IntervalSampler, Observation
@@ -125,6 +136,13 @@ def simulate_timeline(run_spec, interval=TIMELINE_INTERVAL):
     obs = Observation(sampler=IntervalSampler(interval=interval))
     System(cfg).run(program, obs=obs)
     return obs.sampler
+
+
+def render_timeline(run_spec):
+    """The ``timeline`` artifact of ``run_spec``: a :func:`simulate_timeline`
+    run dumped as :meth:`IntervalSampler.to_json` writes it.  The worker
+    pool runs this in a simulation process and stores the bytes."""
+    return _json_bytes(simulate_timeline(run_spec).as_dict())
 
 
 class ArtifactStore:
@@ -188,33 +206,36 @@ class ArtifactStore:
         self.generated += 1
         return data, "generated"
 
-    def generate_simulated(self, key, run_spec, names,
-                           interval=TIMELINE_INTERVAL):
-        """Worker-side generation of the simulation-backed artifacts.
+    def timeline_due(self, key, names):
+        """Whether serving ``names`` for ``key`` needs a timeline run: a
+        simulated artifact is asked for and no timeline is stored yet."""
+        return (any(n in SIMULATED_ARTIFACTS for n in names)
+                and not os.path.exists(self.path_for(key, "timeline")))
 
-        Runs at most one instrumented simulation: ``timeline`` writes the
-        sampler dump, and ``phases`` is detected *from that dump* (or from
-        a previously persisted one), so asking for both costs one run and
-        re-asking costs zero.
+    def generate_simulated(self, key, names, timeline):
+        """Worker-side persistence of the simulation-backed artifacts.
+
+        ``timeline`` is the :func:`render_timeline` dump the worker had
+        simulated because :meth:`timeline_due` said so, or ``None`` when
+        a timeline is already stored.  ``phases`` is detected *from that
+        dump* (or from the stored one), so asking for both costs one run
+        and re-asking costs zero.
         """
-        wanted = [n for n in names if n in ("timeline", "phases")]
-        if not wanted:
-            return []
         written = []
         tl_path = self.path_for(key, "timeline")
-        if not os.path.exists(tl_path):
-            sampler = simulate_timeline(run_spec, interval=interval)
-            os.makedirs(os.path.dirname(tl_path), exist_ok=True)
-            sampler.to_json(tl_path)
+        if timeline is not None and not os.path.exists(tl_path):
+            self.put_bytes(key, "timeline", timeline)
             self.generated += 1
             written.append("timeline")
-        if "phases" in wanted and not os.path.exists(
+        if "phases" in names and not os.path.exists(
                 self.path_for(key, "phases")):
             from repro.obs.phases import detect_phases
             from repro.obs.sampler import load_timeline
 
-            report = detect_phases(load_timeline(tl_path))
-            report.to_json(self.path_for(key, "phases"))
+            doc = (json.loads(timeline) if timeline is not None
+                   else load_timeline(tl_path))
+            self.put_bytes(key, "phases",
+                           _json_bytes(detect_phases(doc).as_dict()))
             self.generated += 1
             written.append("phases")
         return written

@@ -55,9 +55,7 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: longest a ``GET /v1/jobs/<id>`` of a queued or running job blocks
 #: before answering with the job's current record; a polling client thus
-#: sends about one request per job rather than one per round trip, and
-#: its poll handlers stop taking the interpreter lock from workers that
-#: simulate in-process
+#: sends about one request per job rather than one per round trip
 JOB_WAIT_S = 0.5
 
 
@@ -91,7 +89,7 @@ class ServiceApp:
     """The sweep service: cache + artifacts + queue + workers + HTTP."""
 
     def __init__(self, cache_root="results", host="127.0.0.1", port=0,
-                 workers=2, shards=2, runner_jobs=1, batch=4, max_retries=2,
+                 workers=2, shards=2, batch=4, max_retries=2,
                  backoff_s=0.1, telemetry_path=None):
         self.cache_root = cache_root
         self.cache = ResultCache(cache_dir=os.path.join(cache_root, "cache"),
@@ -103,8 +101,7 @@ class ServiceApp:
             telemetry.enable(telemetry_path)
         self.queue = JobQueue.load(
             self.cache, os.path.join(cache_root, "service", "jobs.jsonl"))
-        self.pool = WorkerPool(self.queue, workers=workers,
-                               runner_jobs=runner_jobs, batch=batch,
+        self.pool = WorkerPool(self.queue, workers=workers, batch=batch,
                                max_retries=max_retries, backoff_s=backoff_s,
                                artifact_store=self.artifacts)
         self.httpd = ThreadingHTTPServer((host, port), _make_handler(self))

@@ -8,6 +8,14 @@ turns a whole batch into pure lookups.  The runner's per-request
 cache-hit levels (:meth:`ParallelRunner.levels`) are sliced back per job
 so every completed job records how hot each of its keys was.
 
+The server process never simulates.  Every simulation — the sweep's
+plain runs and the instrumented runs behind ``timeline``/``phases`` —
+goes to one long-lived process pool of ``workers`` processes, so the
+simulations run in parallel instead of taking turns on the server's
+interpreter lock.  The pool's processes fork from a ``forkserver`` that
+imports the simulator once (never from the threaded server itself), and
+start lazily, on the first simulation.
+
 Failure handling honors the service robustness contract:
 
 * a multi-job batch that raises falls back to per-job execution, so one
@@ -16,30 +24,65 @@ Failure handling honors the service robustness contract:
   (``backoff_s * 2**retries``, capped at ``backoff_cap_s``) until
   ``max_retries`` is exhausted, then marked failed — every attempt is a
   ``job_retry`` telemetry event and journal line;
+* a pool process that dies (OOM kill, SIGKILL) breaks the pool: the
+  worker that notices swaps in a fresh one, and the job retries on it;
+* pool processes exit as soon as the server process is gone, however it
+  ended, so a killed server leaves no simulation process behind;
 * ``stop(drain=True)`` closes the queue (new submits get 503), lets the
-  workers finish everything already queued, then joins the threads.
+  workers finish everything already queued, joins the threads, then
+  shuts the simulation pool down.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 from repro.experiments.parallel import ParallelRunner, RunRequest
 from repro.log import get_logger
+from repro.service.artifacts import render_timeline
 
 _logger = get_logger("repro.service.workers")
+
+#: modules the forkserver imports once, so every pool process it forks
+#: starts with the simulator (and this module's initializer) loaded
+_PRELOAD = ["repro.experiments.cli", "repro.service"]
+
+
+def _watch_server(alive):
+    """Pool-process initializer: exit when the server process is gone.
+
+    ``alive`` is the read end of a pipe that only the server can write
+    to and never does, so it turns readable (EOF) exactly when the
+    server dies.  A pool process otherwise blocks on a call queue whose
+    write end it holds itself and would outlive a killed server — and
+    keep the forkserver and the resource tracker alive with it.  SIGINT
+    is ignored: a Ctrl-C reaches the whole process group, and it is the
+    server's drain, not the signal, that ends the pool.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch():
+        wait([alive])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="server-watch", daemon=True).start()
 
 
 class WorkerPool:
     """Threads that claim, batch, execute, and retry queued jobs."""
 
-    def __init__(self, queue, workers=2, runner_jobs=1, batch=4,
+    def __init__(self, queue, workers=2, batch=4,
                  max_retries=2, backoff_s=0.1, backoff_cap_s=2.0,
                  artifact_store=None, sleep=time.sleep):
         self.queue = queue
         self.workers = max(1, int(workers))
-        self.runner_jobs = max(1, int(runner_jobs))
         self.batch = max(1, int(batch))
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
@@ -49,12 +92,17 @@ class WorkerPool:
         self._threads = []
         self._stop = threading.Event()
         self.executed = 0            # jobs this pool ran to a terminal state
+        self.executor = None         # the simulation pool, while started
+        self._executor_lock = threading.Lock()
+        self._alive = None           # server-death pipe: (read, write) ends
 
     # ------------------------------------------------------------- lifecycle
 
     def start(self):
         if self._threads:
             raise RuntimeError("worker pool already started")
+        self._alive = multiprocessing.Pipe(duplex=False)
+        self.executor = self._new_executor()
         for i in range(self.workers):
             t = threading.Thread(target=self._loop,
                                  name=f"svc-worker-{i}", daemon=True)
@@ -69,7 +117,7 @@ class WorkerPool:
         submissions 503 — and lets workers finish every queued job before
         joining; ``drain=False`` asks workers to stop after their current
         batch, leaving the rest queued (the journal re-queues them on the
-        next start).
+        next start).  The simulation pool shuts down last.
         """
         if not drain:
             self._stop.set()
@@ -77,6 +125,29 @@ class WorkerPool:
         for t in self._threads:
             t.join()
         self._threads = []
+        if self.executor is not None:
+            self.executor.shutdown(wait=True)
+            self.executor = None
+            for end in self._alive:
+                end.close()
+            self._alive = None
+
+    def _new_executor(self):
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload(_PRELOAD)
+        return ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx,
+                                   initializer=_watch_server,
+                                   initargs=(self._alive[0],))
+
+    def _replace_executor(self, broken):
+        """Swap a fresh simulation pool in for ``broken``, unless another
+        worker already did."""
+        with self._executor_lock:
+            if self.executor is broken:
+                _logger.info("[service] a simulation process died; "
+                             "starting a fresh pool")
+                self.executor = self._new_executor()
+                broken.shutdown(wait=False)
 
     @property
     def alive(self):
@@ -84,8 +155,8 @@ class WorkerPool:
 
     def stats(self):
         return {"workers": self.workers, "alive": self.alive,
-                "runner_jobs": self.runner_jobs, "batch": self.batch,
-                "max_retries": self.max_retries, "executed": self.executed}
+                "batch": self.batch, "max_retries": self.max_retries,
+                "executed": self.executed}
 
     # ------------------------------------------------------------- execution
 
@@ -129,9 +200,12 @@ class WorkerPool:
             self.executed += 1
 
     def _execute(self, jobs):
-        """Run every spec of ``jobs`` through one ParallelRunner sweep,
-        then complete each job with its per-key cache levels and any
-        requested simulation-backed artifacts."""
+        """Run every spec of ``jobs`` through one ParallelRunner sweep on
+        the simulation pool, then complete each job with its per-key cache
+        levels and any requested simulation-backed artifacts.  The
+        instrumented timeline runs go to the pool first, so they overlap
+        the sweep's plain runs."""
+        executor = self.executor
         requests = []
         slices = []  # (job, start, end) into the flat request list
         for job in jobs:
@@ -142,13 +216,32 @@ class WorkerPool:
                            overrides=dict(spec.get("overrides", {})))
                 for spec in job.runs)
             slices.append((job, start, len(requests)))
-        runner = ParallelRunner(jobs=self.runner_jobs, cache=self.queue.cache)
-        runner.run(requests)
+        due = {}  # key -> run spec, for each timeline run the batch needs
+        if self.artifacts is not None:
+            for job in jobs:
+                for key, spec in zip(job.keys, job.runs):
+                    if self.artifacts.timeline_due(key, job.artifacts):
+                        due[key] = spec
+        timelines = {}  # key -> future of its timeline dump
+        try:
+            for key, spec in due.items():
+                timelines[key] = executor.submit(render_timeline, spec)
+            runner = ParallelRunner(jobs=self.workers, cache=self.queue.cache,
+                                    pool=executor)
+            runner.run(requests)
+            dumps = {key: fut.result() for key, fut in timelines.items()}
+        except BrokenProcessPool:
+            # later jobs need a working pool; this batch retries on it
+            self._replace_executor(executor)
+            raise
+        finally:
+            for fut in timelines.values():
+                fut.cancel()
         levels = runner.levels() or [None] * len(requests)
         for job, start, end in slices:
             job_levels = dict(zip(job.keys, levels[start:end]))
             if self.artifacts is not None and job.artifacts:
-                for key, spec in zip(job.keys, job.runs):
-                    self.artifacts.generate_simulated(key, spec,
-                                                      job.artifacts)
+                for key in job.keys:
+                    self.artifacts.generate_simulated(key, job.artifacts,
+                                                      dumps.get(key))
             self.queue.complete(job, levels=job_levels)

@@ -98,6 +98,19 @@ def test_disabled_cache_keeps_workers_cacheless(fresh_cache):
     assert fresh_cache.stats()["memory_entries"] == 0
 
 
+def test_pooled_results_land_once_in_the_cache_layout(tmp_path):
+    """The parent is the only cache writer: pool workers must not store
+    results themselves, in their own (flat) layout, next to the parent's
+    sharded copies."""
+    from repro.experiments.cache import ResultCache
+
+    cache = ResultCache(cache_dir=str(tmp_path / "cache"), shards=2)
+    ParallelRunner(jobs=2, cache=cache).run(
+        [RunRequest("1b", "vvadd", "tiny"), RunRequest("1L", "vvadd", "tiny")])
+    assert cache.stats()["disk_entries"] == 2
+    assert not list((tmp_path / "cache").glob("*.json"))
+
+
 def test_progress_lines_emitted(fresh_cache, capsys):
     ParallelRunner(jobs=1).run([RunRequest("1b", "vvadd", "tiny")],
                                progress=True)

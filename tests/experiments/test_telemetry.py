@@ -165,7 +165,7 @@ def test_worker_disables_inherited_telemetry(fresh_cache, tel, monkeypatch):
     from repro.experiments.parallel import _simulate
 
     req = RunRequest("1b", "vvadd", "tiny")
-    payload = _simulate(req, fresh_cache.cache_dir, True, True)
+    payload = _simulate(req)
     assert telemetry.current() is None  # worker-side disable ran
     assert payload["pid"] > 0
     assert payload["t_end"] >= payload["t_start"]

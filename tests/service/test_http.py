@@ -3,7 +3,12 @@
 kept-alive connections (no reply stall, bounded job polls)."""
 
 import http.client
+import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -11,6 +16,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.service.http import JOB_WAIT_S, MAX_BODY_BYTES
 from repro.service.schemas import ENDPOINTS, SERVICE_SCHEMA
 
@@ -347,6 +353,22 @@ def test_requested_artifacts_serve_after_job(service_app):
     assert headers["Content-Type"] == "image/svg+xml"
 
 
+def test_server_process_never_simulates(service_app, run_spy):
+    """Every simulation of a job — its plain run and the instrumented run
+    behind ``timeline``/``phases`` — goes to the worker pool's processes:
+    the server process itself makes zero ``System.run`` calls."""
+    job = submit_and_wait(service_app,
+                          dict(RUN, artifacts=["timeline", "phases"]))
+    key = job["keys"][0]
+    for name in ("stats", "result", "summary", "stall.svg", "timeline",
+                 "phases"):
+        status, _, _ = req(service_app, "GET", f"/v1/results/{key}/{name}")
+        assert status == 200
+    assert submit_and_wait(service_app, dict(RUN))["state"] == "done"
+    assert run_spy["local"] == 0
+    assert run_spy["pool"] == 2
+
+
 # ------------------------------------------------------------ stats, drain
 
 def test_stats_counters_reconcile(service_app):
@@ -404,3 +426,71 @@ def test_journal_survives_restart(tmp_path):
         assert app2.queue.get(job.id).state == "done"
     finally:
         app2.stop(drain=True)
+
+
+# ------------------------------------------------------------ server process
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+
+def _smoke_tool():
+    """``tools/service_smoke.py`` as a module, for its process-table
+    helpers."""
+    path = os.path.join(os.path.dirname(SRC), "tools", "service_smoke.py")
+    spec = importlib.util.spec_from_file_location("service_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the process table from /proc")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
+                         ids=["SIGKILL", "SIGTERM"])
+def test_an_ended_server_leaves_no_process_behind(tmp_path, sig):
+    """However ``bigvlittle serve`` ends — a SIGTERM drain, or a SIGKILL
+    that runs no clean-up at all — every process it started (the
+    forkserver, the resource tracker, the pool's simulation processes)
+    is gone within 5 s."""
+    smoke = _smoke_tool()
+    port = smoke.free_port()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.cli", "serve",
+         "--port", str(port), "--cache-root", str(tmp_path / "svc")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    started = []
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            assert proc.poll() is None and time.monotonic() < deadline
+            try:
+                if creq(conn, "GET", "/v1/healthz")[0] == 200:
+                    break
+            except OSError:
+                conn.close()
+                time.sleep(0.05)
+        job = json.loads(creq(conn, "POST", "/v1/runs", dict(RUN))[2])
+        while job["state"] not in ("done", "failed"):
+            job = json.loads(creq(conn, "GET", f"/v1/jobs/{job['id']}")[2])
+        assert job["state"] == "done"
+        started += smoke.descendants(proc.pid)
+        # forkserver, resource tracker, and the process that ran the job
+        assert len(started) >= 3, started
+        proc.send_signal(sig)
+        assert proc.wait(timeout=30) == (0 if sig == signal.SIGTERM
+                                         else -signal.SIGKILL)
+        deadline = time.monotonic() + 5
+        while left := [pid for pid in started if smoke.running(pid)]:
+            assert time.monotonic() < deadline, f"still running: {left}"
+            time.sleep(0.05)
+    finally:
+        conn.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in started:  # a failed run must not leak them either
+            if smoke.running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -3,9 +3,11 @@ counter <-> telemetry reconciliation contract."""
 
 import json
 import os
+import signal
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -323,3 +325,61 @@ def test_artifact_generation_rides_on_worker(tmp_path, run_spy):
     # for phases (they derive from the timeline dump)
     assert run_spy["n"] == 2
     assert os.path.getsize(store.path_for(key, "timeline")) > 0
+
+
+def test_simulated_artifacts_are_written_whole(tmp_path, monkeypatch):
+    """``timeline.json`` and ``phases.json`` land through ``put_bytes``
+    (temp file + rename), never by writing into the final path, and hold
+    exactly what the observability dumps' ``to_json`` writes."""
+    from repro.obs.phases import detect_phases
+    from repro.obs.sampler import load_timeline
+    from repro.service.artifacts import ArtifactStore, simulate_timeline
+
+    q = make_queue(tmp_path)
+    store = ArtifactStore(str(tmp_path / "artifacts"), shards=2)
+    written = {}
+    put_bytes = store.put_bytes
+
+    def spy(key, name, data):
+        written[name] = data
+        return put_bytes(key, name, data)
+
+    monkeypatch.setattr(store, "put_bytes", spy)
+    pool = WorkerPool(q, workers=1, artifact_store=store,
+                      backoff_s=0.001).start()
+    job, _ = q.submit([dict(RUN)], artifacts=("timeline", "phases"))
+    pool.stop(drain=True)
+    assert job.state == "done"
+    assert sorted(written) == ["phases", "timeline"]
+    timeline, phases = tmp_path / "timeline.json", tmp_path / "phases.json"
+    simulate_timeline(RUN).to_json(timeline)
+    detect_phases(load_timeline(timeline)).to_json(phases)
+    assert written["timeline"] == timeline.read_bytes()
+    assert written["phases"] == phases.read_bytes()
+
+
+def test_worker_pool_recovers_from_a_killed_simulation_process(tmp_path):
+    """SIGKILL the pool's only process while a job is running: the job
+    retries once on a fresh pool and completes, and later jobs run."""
+    q = make_queue(tmp_path)
+    pool = WorkerPool(q, workers=1, backoff_s=0.001).start()
+    try:
+        pid = pool.executor.submit(os.getpid).result(timeout=60)
+        # keep the process busy, so the job waits in the pool until the kill
+        blocker = pool.executor.submit(time.sleep, 60)
+        job, _ = q.submit([dict(RUN)])
+        deadline = time.monotonic() + 30
+        while job.state != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            blocker.result(timeout=60)
+        assert q.wait(job.id, 60)["state"] == "done"
+        assert job.retries == 1
+        later, _ = q.submit(
+            [dict(RUN, overrides={"mem": {"dram_latency": 300}})])
+        assert q.wait(later.id, 60)["state"] == "done"
+        assert later.retries == 0
+    finally:
+        pool.stop(drain=True)

@@ -5,19 +5,27 @@ What CI runs (and what an operator can run locally to vet a deploy):
 
 1. start the service as a subprocess on a free port, with telemetry on;
 2. wait for ``GET /v1/healthz``;
-3. ``POST /v1/runs`` one saxpy run and poll ``GET /v1/jobs/<id>`` to done;
+3. ``POST /v1/runs`` one saxpy run that asks for the ``timeline`` and
+   ``phases`` artifacts, and poll ``GET /v1/jobs/<id>`` to done;
 4. fetch the ``stats`` artifact twice — first ``generated``, then
    ``artifact`` — and byte-compare it against a direct in-process
    ``run_pair`` dump (the no-simulation-drift guarantee);
-5. fetch it ``WARM_GETS`` more times and require a median under
+5. byte-compare the served ``timeline`` against a direct in-process
+   ``simulate_timeline(...).to_json`` dump, and require ``phases``;
+6. fetch ``stats`` ``WARM_GETS`` more times and require a median under
    ``WARM_GET_MS`` — a reply stalled by Nagle's algorithm takes 40 ms;
-6. re-submit the same body and require dedup/instant completion;
-7. check ``GET /v1/stats`` counters reconcile with the telemetry JSONL;
-8. SIGTERM the server and require a clean drain + exit 0.
+7. re-submit the same body and require dedup/instant completion;
+8. check ``GET /v1/stats`` counters reconcile with the telemetry JSONL;
+9. SIGTERM the server and require a clean drain + exit 0, after which
+   no process the server started (simulation pool, forkserver,
+   resource tracker) may survive ``LEFTOVER_S`` seconds.
 
 Every request goes over one persistent HTTP/1.1 connection, as a real
 client's would, and job polls do not sleep: the server holds each poll
 until the job ends or its wait bound passes.
+
+The leftover-process check reads the process table from ``/proc`` and
+is skipped where there is none.
 
 Usage: ``python tools/service_smoke.py [--keep DIR]`` — ``--keep``
 copies the server's telemetry log and fetched artifacts into DIR (CI
@@ -46,6 +54,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 #: on their median
 WARM_GETS = 20
 WARM_GET_MS = 20.0
+#: how long the processes a drained server started may take to exit
+LEFTOVER_S = 5.0
 
 
 def request(conn, method, path, body=None):
@@ -67,6 +77,36 @@ def poll(conn, job_id, timeout=60.0):
         if job["state"] in ("done", "failed") \
                 or time.monotonic() > deadline:
             return job
+
+
+def descendants(pid):
+    """Every process below ``pid`` in the process table (``/proc``)."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        children.setdefault(ppid, []).append(int(entry))
+    found, todo = [], [pid]
+    while todo:
+        for child in children.get(todo.pop(), ()):
+            found.append(child)
+            todo.append(child)
+    return found
+
+
+def running(pid):
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
 
 
 def free_port():
@@ -125,7 +165,8 @@ def main():
             return fail("server never answered /v1/healthz", proc)
         print(f"service_smoke: server healthy on port {port}")
 
-        body = {"system": "1b-4VL", "workload": "saxpy", "scale": "tiny"}
+        spec = {"system": "1b-4VL", "workload": "saxpy", "scale": "tiny"}
+        body = dict(spec, artifacts=["timeline", "phases"])
         status, _, raw = request(conn, "POST", "/v1/runs", body)
         if status != 202:
             return fail(f"submit returned {status}: {raw!r}", proc)
@@ -161,6 +202,25 @@ def main():
                         "run_pair dump", proc)
         print(f"service_smoke: stats artifact byte-identical to direct run "
               f"({len(served)} bytes)")
+
+        from repro.service.artifacts import simulate_timeline
+
+        fetched = {}
+        for name in ("timeline", "phases"):
+            status, headers, fetched[name] = request(
+                conn, "GET", f"/v1/results/{key}/{name}")
+            if status != 200 or \
+                    headers.get("X-BigVLittle-Cache") != "artifact":
+                return fail(f"{name} artifact GET returned {status}/"
+                            f"{headers.get('X-BigVLittle-Cache')}", proc)
+        direct_tl = os.path.join(root, "direct_timeline.json")
+        simulate_timeline(spec).to_json(direct_tl)
+        with open(direct_tl, "rb") as f:
+            if fetched["timeline"] != f.read():
+                return fail("served timeline artifact differs from a direct "
+                            "simulate_timeline dump", proc)
+        print(f"service_smoke: timeline artifact byte-identical to direct "
+              f"run ({len(fetched['timeline'])} bytes), phases served")
 
         warm_ms = []
         for _ in range(WARM_GETS):
@@ -209,12 +269,23 @@ def main():
               f"{by_ev.get('job_done', 0)} done events)")
 
         conn.close()
+        check_leftovers = os.path.isdir("/proc/self")
+        started = descendants(proc.pid) if check_leftovers else []
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=30)
         if proc.returncode != 0:
             print(out)
             return fail(f"server exited {proc.returncode} on SIGTERM")
         print("service_smoke: clean drain on SIGTERM")
+        if check_leftovers:
+            deadline = time.monotonic() + LEFTOVER_S
+            while left := [pid for pid in started if running(pid)]:
+                if time.monotonic() > deadline:
+                    return fail(f"processes the server started still run "
+                                f"{LEFTOVER_S:.0f} s after its exit: {left}")
+                time.sleep(0.05)
+            print(f"service_smoke: none of the {len(started)} processes the "
+                  f"server started outlived it")
 
         if args.keep:
             os.makedirs(args.keep, exist_ok=True)
@@ -223,6 +294,10 @@ def main():
             with open(os.path.join(args.keep, "stats_artifact.json"),
                       "wb") as f:
                 f.write(served)
+            for name, data in fetched.items():
+                with open(os.path.join(args.keep, f"{name}_artifact.json"),
+                          "wb") as f:
+                    f.write(data)
             print(f"service_smoke: kept telemetry + artifact in {args.keep}")
         print("service_smoke: OK")
         return 0
