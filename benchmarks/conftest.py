@@ -1,8 +1,9 @@
-"""Shared benchmark configuration.
+"""Shared configuration of the paper-claim tests.
 
-Each benchmark regenerates one paper table/figure at ``tiny`` scale (the CLI
-regenerates them at full size: ``bigvlittle fig4 --scale small``). Simulations
-are deterministic, so a single pedantic round is measured.
+Each ``test_*.py`` module regenerates one paper table/figure at reduced
+scale (the CLI regenerates them at full size: ``bigvlittle fig4 --scale
+small``) and asserts the paper's qualitative claims on it. They are plain
+tests: ``PYTHONPATH=src python -m pytest benchmarks -q``.
 """
 
 import pytest
@@ -12,17 +13,8 @@ from repro.experiments.cache import ResultCache, set_cache
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_result_cache(tmp_path_factory):
-    """Benchmarks time cold simulations: keep them off the persistent
-    on-disk cache (a warm ``results/cache/`` would time JSON reads)."""
+    """Regenerate every figure from cold simulations: keep them off the
+    persistent on-disk cache, so a stale ``results/cache/`` entry can
+    never stand in for the current model."""
     yield set_cache(ResultCache(
         cache_dir=str(tmp_path_factory.mktemp("bench-cache"))))
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run a figure generator exactly once under pytest-benchmark."""
-
-    def run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return run

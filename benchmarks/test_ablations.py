@@ -3,8 +3,8 @@
 from repro.experiments import ablations
 
 
-def test_cluster_scaling(once):
-    data = once(ablations.cluster_scaling, workload="saxpy", scale="tiny")
+def test_cluster_scaling():
+    data = ablations.cluster_scaling(workload="saxpy", scale="tiny")
     # more lanes -> longer hardware vector
     assert data[2]["vlen_bits"] < data[4]["vlen_bits"] < data[8]["vlen_bits"]
     # and more performance, with sub-linear returns (shared VMIU/VLU rate)
@@ -15,8 +15,8 @@ def test_cluster_scaling(once):
     print("cluster scaling:", {n: round(d["speedup"], 2) for n, d in data.items()})
 
 
-def test_switch_penalty(once):
-    data = once(ablations.switch_penalty, workload="saxpy")
+def test_switch_penalty():
+    data = ablations.switch_penalty(workload="saxpy")
     # penalty hurts a small region far more than a large one
     small_hit = data["tiny"][8000]
     large_hit = data["small"][8000]
@@ -28,16 +28,16 @@ def test_switch_penalty(once):
     print("switch penalty slowdown:", data)
 
 
-def test_vxu_topology(once):
-    data = once(ablations.vxu_topology, workload="kmeans", scale="tiny")
+def test_vxu_topology():
+    data = ablations.vxu_topology(workload="kmeans", scale="tiny")
     # kmeans has few cross-element ops; topology should barely matter —
     # the paper's justification for the cheap ring
     assert max(data.values()) < 1.15
     print("vxu topology (relative time):", data)
 
 
-def test_coalesce_width(once):
-    data = once(ablations.coalesce_width, workload="particlefilter", scale="tiny")
+def test_coalesce_width():
+    data = ablations.coalesce_width(workload="particlefilter", scale="tiny")
     # performance is monotone non-decreasing in the window
     widths = sorted(data)
     perf = [data[w] for w in widths]
@@ -46,15 +46,15 @@ def test_coalesce_width(once):
     print("coalesce width (relative perf):", data)
 
 
-def test_dram_bandwidth(once):
-    data = once(ablations.dram_bandwidth, workload="vvadd", scale="tiny")
+def test_dram_bandwidth():
+    data = ablations.dram_bandwidth(workload="vvadd", scale="tiny")
     # with starved DRAM both designs hit the same wall: the advantage shrinks
     assert data[16] < data[1] + 0.05
     print("4VL advantage vs DRAM interval:", data)
 
 
-def test_region_granularity(once):
-    data = once(ablations.region_granularity, scale="tiny", elems=1024)
+def test_region_granularity():
+    data = ablations.region_granularity(scale="tiny", elems=1024)
     # the paper's coarse-grained-switching argument: fine regions are
     # strictly worse, and per-region cost compounds
     ns = sorted(data)

@@ -10,8 +10,8 @@ from repro.experiments import figures
 APPS = ("saxpy", "blackscholes", "pathfinder")
 
 
-def test_fig10(once):
-    data = once(figures.fig10, scale="tiny", workloads=APPS)
+def test_fig10():
+    data = figures.fig10(scale="tiny", workloads=APPS)
     for w in APPS:
         pareto = data[w]["pareto"]
         assert len(pareto) >= 2

@@ -11,8 +11,8 @@ from repro.power import system_power_w
 APPS = ("saxpy", "blackscholes")
 
 
-def test_fig11(once):
-    data = once(figures.fig11, scale="tiny", workloads=APPS)
+def test_fig11():
+    data = figures.fig11(scale="tiny", workloads=APPS)
     for w in APPS:
         pareto = data[w]["pareto"]
         systems_on_front = {t[0] for _, _, t in pareto}

@@ -20,8 +20,8 @@ def _fig4_mixed():
     return dp
 
 
-def test_fig4(once):
-    data = once(_fig4_mixed)
+def test_fig4():
+    data = _fig4_mixed()
     sp = data["speedups"]
 
     # every system at least matches a single little core on every workload

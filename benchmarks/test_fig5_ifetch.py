@@ -9,8 +9,8 @@ from repro.experiments import figures
 from repro.utils import geomean
 
 
-def test_fig5(once):
-    data = once(figures.fig5, scale="tiny")
+def test_fig5():
+    data = figures.fig5(scale="tiny")
     for w, row in data.items():
         assert row["1bIV-4L"] > row["1b-4VL"], w
         assert row["1bIV-4L"] > 2.0, f"{w}: expected >>1bDV fetches"

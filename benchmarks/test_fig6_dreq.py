@@ -8,8 +8,8 @@ from repro.experiments import figures
 from repro.utils import geomean
 
 
-def test_fig6(once):
-    data = once(figures.fig6, scale="tiny")
+def test_fig6():
+    data = figures.fig6(scale="tiny")
     for w, row in data.items():
         assert row["1bIV-4L"] > row["1b-4VL"], w
     gm = geomean([row["1bIV-4L"] / row["1b-4VL"] for row in data.values()])

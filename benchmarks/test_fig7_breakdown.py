@@ -10,8 +10,8 @@ from repro.experiments import figures
 from repro.utils import geomean
 
 
-def test_fig7(once):
-    data = once(figures.fig7, scale="tiny")
+def test_fig7():
+    data = figures.fig7(scale="tiny")
 
     # packed elements speed up every 32-bit workload
     speedup_sw = geomean([d["1c"]["cycles"] / d["1c+sw"]["cycles"] for d in data.values()])

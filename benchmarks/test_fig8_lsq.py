@@ -8,8 +8,8 @@ performance is monotonically non-decreasing in depth.
 from repro.experiments import figures
 
 
-def test_fig8(once):
-    data = once(figures.fig8, scale="tiny")
+def test_fig8():
+    data = figures.fig8(scale="tiny")
     depths = sorted(next(iter(data.values())))
 
     for w, row in data.items():

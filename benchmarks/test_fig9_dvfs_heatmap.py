@@ -12,8 +12,8 @@ from repro.experiments import figures
 APPS = ("saxpy", "blackscholes", "sw")
 
 
-def test_fig9(once):
-    data = once(figures.fig9, scale="tiny", workloads=APPS)
+def test_fig9():
+    data = figures.fig9(scale="tiny", workloads=APPS)
 
     for w in APPS:
         vl = data[w]["1b-4VL"]

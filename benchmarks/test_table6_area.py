@@ -8,8 +8,8 @@ four-Ariane cluster with its L1 caches.
 from repro.experiments import tables
 
 
-def test_table6(once):
-    data = once(tables.table6_data)
+def test_table6():
+    data = tables.table6_data()
     assert 0.015 < data["simple"]["overhead"] < 0.035
     assert 0.015 < data["ariane"]["overhead"] < 0.03
     assert data["ariane"]["overhead"] < data["simple"]["overhead"]

@@ -103,6 +103,18 @@ class FUPool:
         self._used = dict(other._used)
         self._busy_until = dict(other._busy_until)
 
+    def same_busy_after(self, other, now):
+        """True when ``other`` keeps every unpipelined unit busy until the
+        same time as this pool, counting any time at or before ``now`` as
+        free: from the next cycle on, both pools accept the same ops. The
+        batched lane executor's re-convergence test."""
+        for fu in UNPIPELINED:
+            a = self._busy_until.get(fu, 0)
+            b = other._busy_until.get(fu, 0)
+            if a != b and (a > now or b > now):
+                return False
+        return True
+
     def next_free_ps(self, fu, now):
         """Earliest future ps at which a *fresh* cycle could issue ``fu``,
         or 0 if the very next tick can (per-cycle slot usage resets every

@@ -30,6 +30,7 @@ Per-cycle, per-lane stall attribution matches Figure 7 exactly:
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 
 from repro.cores.fu import DEFAULT_LATENCY
 from repro.errors import ConfigError
@@ -98,15 +99,15 @@ class Uop:
 class Lane:
     """One little core's back end operating as a vector lane.
 
-    The per-tick scalar state (``avail`` / ``busy_until`` / ``uops_issued``
-    and the batch-convergence watermark) lives in engine-owned parallel
-    arrays indexed by ``idx`` so the batched executor can evaluate the
-    whole lane array in one step; the properties below keep the existing
-    per-lane API (tests, sampler, progress signature) working unchanged.
+    The per-tick scalar state (``avail`` / ``busy_until`` /
+    ``uops_issued``) lives in engine-owned parallel arrays indexed by
+    ``idx`` so the batched executor can evaluate the whole lane array in
+    one step; the properties below keep the existing per-lane API (tests,
+    sampler, progress signature) working unchanged.
     """
 
-    __slots__ = ("engine", "idx", "fu", "latch", "ready", "arrived",
-                 "breakdown")
+    __slots__ = ("engine", "idx", "fu", "latch", "ready", "ready_log",
+                 "arrived", "breakdown")
 
     def __init__(self, engine, idx, fu):
         self.engine = engine
@@ -114,6 +115,10 @@ class Lane:
         self.fu = fu
         self.latch = None
         self.ready = {}  # (seq, chime) -> cycle the lane's slice is ready
+        # ``ready`` writes since the last divergence fallback, pruned to
+        # the future at each re-convergence check; None until the batched
+        # executor first falls back (the forced-scalar arm never logs)
+        self.ready_log = None
         self.arrived = {}  # (seq, chime) -> [elements arrived, last arrival]
         self.breakdown = Breakdown()
 
@@ -213,6 +218,12 @@ class Lane:
                 return self.engine.seq_kind(dep)
         return None
 
+    def _set_ready(self, key, r):
+        self.ready[key] = r
+        log = self.ready_log
+        if log is not None:
+            log[key] = r
+
     def _try_issue(self, uop, now):
         eng = self.engine
         ins = uop.ins
@@ -235,9 +246,7 @@ class Lane:
             P = eng.period
             self.busy_until = now + occ * P
             r = now + (occ - 1) * P + lat  # lat >= P, so r >= busy_until
-            self.ready[(ins.seq, uop.chime)] = r
-            if r > eng._l_hot[self.idx]:
-                eng._l_hot[self.idx] = r
+            self._set_ready((ins.seq, uop.chime), r)
             return None
         if kind == LDWB:
             expected = eng.elem_count(ins.seq, uop.chime, self.idx)
@@ -248,9 +257,7 @@ class Lane:
                 eng.vmu.vlu.consume(self.idx, expected)
             extra = 1 if VOP_CLASS[ins.op] == VClass.MEM_INDEX else 0
             r = now + (1 + extra) * eng.period
-            self.ready[(ins.seq, uop.chime)] = r
-            if r > eng._l_hot[self.idx]:
-                eng._l_hot[self.idx] = r
+            self._set_ready((ins.seq, uop.chime), r)
             return None
         if kind == STDATA:
             stall = self._deps_ready(ins, uop.chime, now)
@@ -259,10 +266,7 @@ class Lane:
             if self.busy_until > now:
                 return Stall.STRUCT
             count = eng.elem_count(ins.seq, uop.chime, self.idx)
-            r = now + eng.period
-            self.busy_until = r
-            if r > eng._l_hot[self.idx]:
-                eng._l_hot[self.idx] = r
+            self.busy_until = now + eng.period
             eng.vmu.vsu.credit(ins.seq, count, now + 2 * eng.period)
             if VOP_CLASS[ins.op] == VClass.MEM_INDEX:
                 eng.vmu.credit_indexed(ins.seq, count)
@@ -283,20 +287,14 @@ class Lane:
         if kind == VXWRITE:
             if not eng.vxu.result_ready(ins.seq, now):
                 return Stall.XELEM
-            r = now + eng.period
-            self.ready[(ins.seq, uop.chime)] = r
-            if r > eng._l_hot[self.idx]:
-                eng._l_hot[self.idx] = r
+            self._set_ready((ins.seq, uop.chime), now + eng.period)
             eng.vxwrite_done(ins.seq)
             return None
         if kind == VXREDUCE:
             if not eng.vxu.result_ready(ins.seq, now):
                 return Stall.XELEM
             lat = DEFAULT_LATENCY[FUClass.FPU] * eng.period
-            r = now + lat
-            self.ready[(ins.seq, 0)] = r
-            if r > eng._l_hot[self.idx]:
-                eng._l_hot[self.idx] = r
+            self._set_ready((ins.seq, 0), now + lat)
             eng.cross_done(ins.seq, now + lat)
             return None
         if kind == MOVEXS:
@@ -318,7 +316,7 @@ class VLittleEngine:
         "_elem_expected", "_cross", "_fence_buffer", "_fences_pending",
         "_dataq_release", "instrs", "mode_switches", "_bcast_issued",
         "batched", "_batch_uop", "_batch_avail", "_diverged", "_n_latched",
-        "_l_avail", "_l_busy", "_l_hot", "_l_uops", "_bd_batch",
+        "_l_avail", "_l_busy", "_l_uops", "_bd_batch", "_geom",
         "batch_fallbacks", "_obs_fallbacks",
         "obs", "_pv", "_lane_obs", "_obs_uopq", "_obs_dataq",
         "_obs_last_uopq", "_vxu_obs", "_ev_notify",
@@ -370,7 +368,6 @@ class VLittleEngine:
         # part of SoCConfig or cache keys, and by contract stat-invisible.
         self._l_avail = [0] * self.lanes_count  # broadcast-latch ready time
         self._l_busy = [0] * self.lanes_count  # EXEC/STDATA structural busy
-        self._l_hot = [0] * self.lanes_count  # latest future ps ever written
         self._l_uops = [0] * self.lanes_count  # issued µop count
         self.batched = True
         self._batch_uop = None  # broadcast µop held by the whole lane array
@@ -393,6 +390,7 @@ class VLittleEngine:
         self._ready_at = None
         self._seq_kind = {}  # producer seq -> stall kind its consumers charge
         self._elem_expected = {}  # seq -> {(chime, lane): count}
+        self._geom = {}  # (elements, pack) -> elem_geometry's shared result
         self._cross = {}  # seq -> dict(writes_left, respond, started)
         self._fence_buffer = []  # mem instrs registered after a pending fence
         self._fences_pending = 0
@@ -436,6 +434,23 @@ class VLittleEngine:
 
     def vlen_bits(self, ew=4):
         return self.vlmax(ew) * ew * 8
+
+    def elem_geometry(self, n, pack):
+        """``(elem_cl, expected)`` for an ``n``-element memory instruction
+        packing ``pack`` elements per register: element ``i``'s
+        ``(chime, lane)`` (Fig. 2's mapping), and the read-only element
+        count of every ``(chime, lane)`` it touches. Both depend only on
+        the shape, so each is derived once per ``(n, pack)`` and shared by
+        every instruction of that shape."""
+        g = self._geom.get((n, pack))
+        if g is None:
+            epc = self.lanes_count * pack
+            elem_cl = tuple((i // epc, (i % epc) // pack) for i in range(n))
+            expected = {}
+            for cl in elem_cl:
+                expected[cl] = expected.get(cl, 0) + 1
+            g = self._geom[(n, pack)] = (elem_cl, MappingProxyType(expected))
+        return g
 
     def elem_count(self, seq, chime, lane):
         m = self._elem_expected.get(seq)
@@ -571,17 +586,11 @@ class VLittleEngine:
 
     # ------------------------------------------------------- lane callbacks
 
-    def deliver_load(self, seq, chime, lane, count, at):
-        a = self.lanes[lane].arrived.setdefault((seq, chime), [0, 0])
-        a[0] += count
-        if at > a[1]:
-            a[1] = at
-
     def deliver_load_batch(self, seq, deliveries, at):
         """Batched VLU delivery: one call per returned line, covering every
-        ``(chime, lane)`` element group it carries, instead of one
-        :meth:`deliver_load` call per group. ``arrived`` stays per-lane —
-        straggler fills are exactly what diverges the batched executor."""
+        ``(chime, lane)`` element group it carries. ``arrived`` stays
+        per-lane — straggler fills are exactly what diverges the batched
+        executor."""
         lanes = self.lanes
         for (chime, lane), count in deliveries:
             a = lanes[lane].arrived.setdefault((seq, chime), [0, 0])
@@ -683,23 +692,35 @@ class VLittleEngine:
         into every follower (their conceptual state is identical while
         converged), then re-latch any pending batch µop so the per-lane
         path executes it — this very tick — exactly as the scalar
-        executor would have."""
+        executor would have.
+
+        The mirrored ``ready`` map is first pruned of every instruction
+        whose entries all lie at or before ``now``: a missing key reads
+        as ready (``ready.get((dep, 0), 0)``), exactly like a past one,
+        so the copy costs what is in flight rather than the run's whole
+        µop history. Pruning is per instruction, not per entry: a chime
+        with no entry of its own reads its instruction's chime-0 entry,
+        which is always written first, so dropping only some of an
+        instruction's entries could turn a past read into a future one."""
         self.batch_fallbacks += 1
         if self._obs_fallbacks is not None:
             self._obs_fallbacks.add()
         self._diverged = True
         lanes = self.lanes
         lead = lanes[0]
+        ready = lead.ready
+        live = {k[0] for k, t in ready.items() if t > now}
+        ready = {k: t for k, t in ready.items() if k[0] in live}
+        lead.ready = ready
+        lead.ready_log = {}
         busy = self._l_busy
-        hot = self._l_hot
         b0 = busy[0]
-        h0 = hot[0]
         for i in range(1, self.lanes_count):
             lane = lanes[i]
-            lane.ready = dict(lead.ready)
+            lane.ready = dict(ready)
+            lane.ready_log = {}
             lane.fu.sync_from(lead.fu)
             busy[i] = b0
-            hot[i] = h0
         uop = self._batch_uop
         if uop is not None:
             self._batch_uop = None
@@ -709,6 +730,36 @@ class VLittleEngine:
                 lane.latch = uop
                 avail[i] = av
             self._n_latched = self.lanes_count
+
+    def _reconverged(self, now):
+        """True when every follower lane now behaves exactly like the
+        leader, so lockstep can resume. Called with no lane latched,
+        before a broadcast µop that could issue next tick at the earliest.
+
+        Lanes match when their ``ready`` entries timed after ``now``,
+        their structural-busy times and their unpipelined-FU busy times
+        agree: anything at or before ``now`` reads as ready on every
+        lane. All lanes held the same ``ready`` map at the last fallback,
+        so only the writes logged since then can differ; each check
+        prunes the logs to the future, which bounds its cost by what is
+        in flight."""
+        lanes = self.lanes
+        busy = self._l_busy
+        b0 = busy[0]
+        lead = lanes[0]
+        log0 = {k: t for k, t in lead.ready_log.items() if t > now}
+        lead.ready_log = log0
+        same = True
+        for i in range(1, self.lanes_count):
+            lane = lanes[i]
+            log = {k: t for k, t in lane.ready_log.items() if t > now}
+            lane.ready_log = log
+            if same:
+                b = busy[i]
+                same = ((b == b0 or (b <= now and b0 <= now))
+                        and log == log0
+                        and lane.fu.same_busy_after(lead.fu, now))
+        return same
 
     def _finish_batch(self, uop, now):
         """Bookkeeping shared by every lockstep µop issue."""
@@ -761,17 +812,12 @@ class VLittleEngine:
             extra = 1 if VOP_CLASS[ins.op] == VClass.MEM_INDEX else 0
             r = now + (1 + extra) * self.period
             lead.ready[(seq, chime)] = r
-            if r > self._l_hot[0]:
-                self._l_hot[0] = r
             self._finish_batch(uop, now)
             return "busy"
         if kind == VXWRITE:
             if not self.vxu.result_ready(ins.seq, now):
                 return Stall.XELEM
-            r = now + self.period
-            lead.ready[(ins.seq, uop.chime)] = r
-            if r > self._l_hot[0]:
-                self._l_hot[0] = r
+            lead.ready[(ins.seq, uop.chime)] = now + self.period
             for _ in range(self.lanes_count):
                 self.vxwrite_done(ins.seq)
             self._finish_batch(uop, now)
@@ -792,18 +838,13 @@ class VLittleEngine:
             self._l_busy[0] = now + occ * P
             r = now + (occ - 1) * P + lat  # lat >= P, so r >= busy_until
             lead.ready[(ins.seq, uop.chime)] = r
-            if r > self._l_hot[0]:
-                self._l_hot[0] = r
             self._finish_batch(uop, now)
             return "busy"
         if kind == STDATA:
             if self._l_busy[0] > now:
                 return Stall.STRUCT
             P = self.period
-            r = now + P
-            self._l_busy[0] = r
-            if r > self._l_hot[0]:
-                self._l_hot[0] = r
+            self._l_busy[0] = now + P
             at = now + 2 * P
             seq = ins.seq
             vsu = self.vmu.vsu
@@ -1040,10 +1081,7 @@ class VLittleEngine:
             if self._n_latched:
                 return Stall.SIMD
             if self.batched:
-                if self._diverged and max(self._l_hot) <= now:
-                    # re-converge: every lane's scalar state is entirely
-                    # in the past, so it is behaviorally indistinguishable
-                    # from the leader's — lockstep can resume
+                if self._diverged and self._reconverged(now):
                     self._diverged = False
                 if not self._diverged:
                     self._batch_uop = uop

@@ -49,17 +49,15 @@ class _MemCmd:
     """Per-instruction bookkeeping created when the VCU registers a memory op."""
 
     __slots__ = ("ins", "lines", "next_line", "indexed", "addr_credits",
-                 "next_elem", "elem_lines", "elem_cl", "pv_parent")
+                 "next_elem", "pv_parent")
 
-    def __init__(self, ins, lines, indexed, elem_lines, elem_cl):
+    def __init__(self, ins, lines, indexed):
         self.ins = ins
         self.lines = lines  # [(line, deliveries, nelems)] in element order
         self.next_line = 0
         self.indexed = indexed
         self.addr_credits = 0  # indexed: element addresses received from lanes
         self.next_elem = 0
-        self.elem_lines = elem_lines  # indexed: per-element line addr
-        self.elem_cl = elem_cl  # per-element (chime, lane)
         self.pv_parent = None  # dispatching PipeRecord, captured at register()
 
 
@@ -103,37 +101,30 @@ class VectorMemoryUnit:
 
     def register(self, ins):
         """Accept a memory instruction (called at dispatch — decoupling)."""
-        lanes, pack = self.engine.lanes_count, self.engine.pack_for(ins.ew)
-        epc = lanes * pack
-        cls = VOP_CLASS[ins.op]
-        indexed = cls == VClass.MEM_INDEX
+        eng = self.engine
         addrs = ins.element_addrs()
+        elem_cl, expected = eng.elem_geometry(len(addrs), eng.pack_for(ins.ew))
         lb = self.bank_map.line_bytes
-        elem_cl = [((i // epc), (i % epc) // pack) for i in range(len(addrs))]
-        elem_lines = [a // lb * lb for a in addrs]
         lines = []
         cur_line, cur_deliv, cur_n = None, None, 0
-        for i, ln in enumerate(elem_lines):
+        for key, a in zip(elem_cl, addrs):
+            ln = a // lb * lb
             if ln != cur_line:
                 if cur_line is not None:
                     lines.append((cur_line, cur_deliv, cur_n))
                 cur_line, cur_deliv, cur_n = ln, {}, 0
-            key = elem_cl[i]
             cur_deliv[key] = cur_deliv.get(key, 0) + 1
             cur_n += 1
         if cur_line is not None:
             lines.append((cur_line, cur_deliv, cur_n))
-        cmd = _MemCmd(ins, lines, indexed, elem_lines, elem_cl)
+        cmd = _MemCmd(ins, lines, VOP_CLASS[ins.op] == VClass.MEM_INDEX)
         if self._pv is not None:
             # capture the dispatching record now — by the time the VMIU
             # issues this command's lines the ROB entry may have retired
             cmd.pv_parent = self._pv.seq_record(ins.seq)
         self._cmdq.append(cmd)
         # per-(chime, lane) element counts drive the lanes' LDWB/STDATA µops
-        expected = {}
-        for c, l in elem_cl:
-            expected[(c, l)] = expected.get((c, l), 0) + 1
-        self.engine.set_elem_expected(ins.seq, expected)
+        eng.set_elem_expected(ins.seq, expected)
         if not VOP_IS_LOAD[ins.op]:
             self.vsu.register_store(ins.seq, len(addrs))
 

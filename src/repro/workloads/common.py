@@ -12,7 +12,7 @@ to three views of the same computation:
   task so the big core's integrated unit gets used, exactly as §IV-B
   describes.
 
-``scale`` picks input sizes: ``tiny`` for unit tests and pytest-benchmark,
+``scale`` picks input sizes: ``tiny`` for unit tests and the paper-claim tests,
 ``small`` for the figure harness, ``full`` for the examples.
 """
 

@@ -4,8 +4,8 @@ The chime-batched lane executor trusts ``VLittleEngine.elem_count`` to
 tell every lane how many elements of a memory instruction it owns in a
 given chime: the LDWB µop waits for exactly that many writebacks and the
 STDATA µop emits exactly that many store elements, in batch and scalar
-mode alike. The map is derived in ``VectorMemoryUnit.register`` from the
-instruction's element list, so its defining invariant is conservation:
+mode alike. ``VectorMemoryUnit.register`` takes the map from
+``VLittleEngine.elem_geometry``, so its defining invariant is conservation:
 summed over every (chime, lane) pair it must reproduce the
 instruction's element total, for any lane count, chime count, packing
 mode and — especially — non-power-of-two ``vl`` remainders whose last
