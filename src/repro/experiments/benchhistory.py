@@ -1,8 +1,10 @@
 """Benchmark history: an append-only ledger plus a trajectory report.
 
-The repo's benchmarks (``benchmarks/bench_*.py``) each emit a
-``bigvlittle-bench-v1`` JSON snapshot (``BENCH_*.json``) of one commit's
-numbers. This module strings those snapshots into a *trajectory*:
+The repo's guard script (``benchmarks/guards.py --bench-json
+BENCH_guards.json``) writes a ``bigvlittle-bench-v1`` JSON snapshot
+(``BENCH_*.json``) of one commit's numbers, and so does each
+``perfbench/run.py`` run. This module strings those snapshots into a
+*trajectory*:
 
 * ``BENCH_history.jsonl`` — an append-only ledger, one JSON object per
   line (``{"schema", "ts", "source", "note", "results"}``), where

@@ -96,9 +96,6 @@ class ResultCache:
                                 f"{key}.json")
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    # legacy private name, still used by older call sites
-    _path = path_for
-
     def _flat_path(self, key):
         return os.path.join(self.cache_dir, f"{key}.json")
 

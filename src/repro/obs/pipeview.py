@@ -25,8 +25,8 @@ policy).
 The layer is opt-in *on top of* the opt-in Observation: pass
 ``Observation(pipeview=PipeView())``. Every hook site in the simulator is
 gated on a class-level ``_pv is None`` check, so an Observation without a
-PipeView does zero per-instruction work (the overhead guard in
-``benchmarks/bench_pipeview_overhead.py`` enforces this).
+PipeView does zero per-instruction work (the pipeview guard in
+``benchmarks/guards.py`` enforces this).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Unlike the Tables IV & V apps, these two workloads exist to exercise
 specific *temporal* regimes of the simulator — the phase taxonomy that
-:mod:`repro.obs.phases` detects and that ``benchmarks/
-bench_sim_throughput.py`` stresses:
+:mod:`repro.obs.phases` detects and that the ``sim_throughput`` guard
+in ``benchmarks/guards.py`` stresses:
 
 * ``switch_thrash`` — alternating scalar stretches and short vector
   regions, each region re-arming the §III-B mode-switch penalty on a

@@ -12,7 +12,9 @@ docs/*.md) and cross-checks it against the live argparse tree
 * conversely, every named verb must be demonstrated somewhere in the
   docs — a shipped-but-undocumented verb fails the build;
 * ``docs/service.md`` must mention every ``bigvlittle serve`` flag and
-  every API endpoint in :data:`repro.service.schemas.ENDPOINTS`.
+  every API endpoint in :data:`repro.service.schemas.ENDPOINTS`;
+* every repository path a doc names under ``benchmarks/``, ``tools/``,
+  ``perfbench/``, ``tests/`` or ``src/`` must exist.
 
 Tokens containing shell placeholders (``<PATH>``, ``{stats,clear}``,
 ``$VAR``, globs) are skipped; pipelines are cut at the first shell
@@ -37,6 +39,12 @@ DOC_FILES = ("README.md", "EXPERIMENTS.md")
 DOC_GLOB_DIR = "docs"
 SHELL_OPERATORS = {"|", "||", "&&", ";", ">", ">>", "2>", "<"}
 PLACEHOLDER_CHARS = set("<>{}*$")
+#: a path into one of the checked top-level directories, at the start of
+#: a word or after a doc's ``../``; the match is cut at the first
+#: character a path in this repository does not use
+REPO_PATH = re.compile(r"(?:(?<=\.\./)|(?<![\w./-]))"
+                       r"((?:benchmarks|tools|perfbench|tests|src)/"
+                       r"[\w./<>{}*$-]*)")
 
 
 def doc_paths(root):
@@ -82,6 +90,18 @@ def commands_in(text):
                 yield lineno, tokens
 
 
+def missing_paths(root, text):
+    """Yield (line_number, path) for every checked repository path the
+    text names that does not exist (placeholders and globs skipped)."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for m in REPO_PATH.finditer(line):
+            path = m.group(1).rstrip(".")
+            if PLACEHOLDER_CHARS & set(path):
+                continue
+            if not os.path.exists(os.path.join(root, path)):
+                yield lineno, path
+
+
 def parser_flags(parser):
     return {opt for action in parser._actions
             for opt in action.option_strings if opt.startswith("--")}
@@ -104,6 +124,9 @@ def check_docs(root):
         rel = os.path.relpath(path, root)
         with open(path, encoding="utf-8") as f:
             text = f.read()
+        for lineno, missing in missing_paths(root, text):
+            problems.append(f"{rel}:{lineno}: names {missing!r}, which "
+                            f"does not exist")
         for lineno, tokens in commands_in(text):
             verb = tokens[0]
             if PLACEHOLDER_CHARS & set(verb):
