@@ -41,10 +41,26 @@ BIG_FU_COUNTS = {
 }
 
 
-class FUPool:
-    """Per-cycle issue slots plus busy tracking for unpipelined units."""
+#: Slot count for ``FUClass.NONE``: ops without an execution resource
+#: never contend.
+_UNLIMITED = 1 << 30
 
-    __slots__ = ("counts", "latency", "period", "_used", "_now", "_busy_until")
+_N_FU = len(FUClass)
+
+
+class FUPool:
+    """Per-cycle issue slots plus busy tracking for unpipelined units.
+
+    The hot state lives in flat lists indexed by the ``FUClass`` value
+    (slot counts, latency in ps, the unpipelined flag, per-cycle use and
+    busy-until), so an issue attempt is a few list indexings. ``counts``
+    and ``latency`` stay as dicts for readers; they are snapshots taken
+    at construction and are not re-read afterwards. ``FUClass.NONE``
+    always issues, takes no slot and completes in 1 ps.
+    """
+
+    __slots__ = ("counts", "latency", "period", "_count", "_lat",
+                 "_unpiped", "_used", "_now", "_busy_until")
 
     def __init__(self, counts, latency=None, period=1):
         for fu, n in counts.items():
@@ -55,42 +71,50 @@ class FUPool:
         if latency:
             self.latency.update(latency)
         self.period = period
-        self._used = {}
+        self._count = [self.counts.get(fu, 0) for fu in FUClass]
+        self._lat = [self.latency[fu] * period for fu in FUClass]
+        self._unpiped = [fu in UNPIPELINED for fu in FUClass]
+        self._count[FUClass.NONE] = _UNLIMITED
+        self._lat[FUClass.NONE] = 1
+        self._used = [0] * _N_FU
         self._now = -1
-        self._busy_until = {}
-
-    def _roll(self, now):
-        if now != self._now:
-            self._now = now
-            self._used.clear()
+        self._busy_until = [0] * _N_FU
 
     def can_issue(self, fu, now):
-        if fu == FUClass.NONE:
-            return True
-        self._roll(now)
-        if self._used.get(fu, 0) >= self.counts.get(fu, 0):
+        used = self._used[fu] if now == self._now else 0
+        if used >= self._count[fu]:
             return False
-        if fu in UNPIPELINED and self._busy_until.get(fu, 0) > now:
-            return False
-        return True
+        return not (self._unpiped[fu] and self._busy_until[fu] > now)
 
     def issue(self, fu, now, occupancy=None):
         """Claim a slot; returns the op's completion latency."""
-        if fu == FUClass.NONE:
-            return 1
-        self._roll(now)
-        self._used[fu] = self._used.get(fu, 0) + 1
-        lat = self.latency[fu] * self.period
-        if fu in UNPIPELINED:
+        if now != self._now:
+            self._now = now
+            self._used = [0] * _N_FU
+        self._used[fu] += 1
+        lat = self._lat[fu]
+        if self._unpiped[fu]:
             self._busy_until[fu] = now + (occupancy * self.period
                                           if occupancy is not None else lat)
         return lat
 
     def try_issue(self, fu, now, occupancy=None):
         """can_issue + issue in one step; returns latency or None."""
-        if not self.can_issue(fu, now):
+        if now != self._now:
+            self._now = now
+            self._used = [0] * _N_FU
+        used = self._used
+        if used[fu] >= self._count[fu]:
             return None
-        return self.issue(fu, now, occupancy)
+        lat = self._lat[fu]
+        if self._unpiped[fu]:
+            busy = self._busy_until
+            if busy[fu] > now:
+                return None
+            busy[fu] = now + (occupancy * self.period
+                              if occupancy is not None else lat)
+        used[fu] += 1
+        return lat
 
     def sync_from(self, other):
         """Adopt ``other``'s dynamic issue state (per-cycle slot usage and
@@ -100,17 +124,19 @@ class FUPool:
         the followers — whose conceptual state is identical — before the
         per-lane path resumes."""
         self._now = other._now
-        self._used = dict(other._used)
-        self._busy_until = dict(other._busy_until)
+        self._used = other._used[:]
+        self._busy_until = other._busy_until[:]
 
     def same_busy_after(self, other, now):
         """True when ``other`` keeps every unpipelined unit busy until the
         same time as this pool, counting any time at or before ``now`` as
         free: from the next cycle on, both pools accept the same ops. The
         batched lane executor's re-convergence test."""
+        mine = self._busy_until
+        theirs = other._busy_until
         for fu in UNPIPELINED:
-            a = self._busy_until.get(fu, 0)
-            b = other._busy_until.get(fu, 0)
+            a = mine[fu]
+            b = theirs[fu]
             if a != b and (a > now or b > now):
                 return False
         return True
@@ -120,8 +146,8 @@ class FUPool:
         or 0 if the very next tick can (per-cycle slot usage resets every
         cycle, so only unpipelined busy-tracking blocks future ticks).
         Pure — used by the quiescence-skipping scheduler."""
-        if fu in UNPIPELINED:
-            t = self._busy_until.get(fu, 0)
+        if self._unpiped[fu]:
+            t = self._busy_until[fu]
             if t > now:
                 return t
         return 0

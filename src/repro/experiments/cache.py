@@ -53,6 +53,23 @@ from repro.stats import RunResult
 #: results produced by a different simulator version never collide with ours
 SIM_VERSION = repro.__version__
 
+#: (``SIM_VERSION``, golden grid digest) rows, oldest first. Append only:
+#: a model change that moves any stat bumps the version and adds a row;
+#: no row is ever edited. The grid is the stats digest of every
+#: (system, workload) pair at ``tiny`` in ``perfbench/reference.json``,
+#: folded by :func:`grid_digest`; tier-1 recomputes it and requires the
+#: row of the current version (``tests/integration/test_golden_digests.py``).
+SIM_GRIDS = (
+    ("1.1.0", "bc825085f43ac1407a00"),
+)
+
+
+def grid_digest(rows):
+    """One digest over ``(pair, stats digest)`` rows, in any order."""
+    blob = "\n".join(f"{pair} {digest}" for pair, digest in sorted(rows))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+
+
 _ENV_DIR = "BIGVLITTLE_CACHE_DIR"
 _DEFAULT_DIR = os.path.join("results", "cache")
 

@@ -135,6 +135,23 @@ _FU_BY_OP = {
     Op.AMOADD: FUClass.MEM,
 }
 
+#: Natural access size in bytes of the memory opcodes.
+_MEM_SIZE_BY_OP = {
+    Op.LB: 1,
+    Op.SB: 1,
+    Op.LH: 2,
+    Op.SH: 2,
+    Op.LW: 4,
+    Op.SW: 4,
+    Op.FLW: 4,
+    Op.FSW: 4,
+    Op.LD: 8,
+    Op.SD: 8,
+    Op.FLD: 8,
+    Op.FSD: 8,
+    Op.AMOADD: 8,
+}
+
 _N = max(Op) + 1
 
 #: Flat lookup tables indexed by ``int(op)`` — hot-path friendly.
@@ -142,12 +159,14 @@ OP_FU = [FUClass.NONE] * _N
 OP_IS_LOAD = [False] * _N
 OP_IS_STORE = [False] * _N
 OP_IS_BRANCH = [False] * _N
+OP_MEM_SIZE = [0] * _N  # 0: the opcode does not access memory
 
 for _op in Op:
     OP_FU[_op] = _FU_BY_OP[_op]
     OP_IS_LOAD[_op] = _op in _LOAD_OPS
     OP_IS_STORE[_op] = _op in _STORE_OPS
     OP_IS_BRANCH[_op] = _op in _BRANCH_OPS
+    OP_MEM_SIZE[_op] = _MEM_SIZE_BY_OP.get(_op, 0)
 
 # AMO behaves as both a load and a store for dependence purposes.
 OP_IS_LOAD[Op.AMOADD] = True
@@ -156,18 +175,4 @@ OP_IS_STORE[Op.AMOADD] = True
 
 def mem_size(op: Op) -> int:
     """Natural access size in bytes for a memory opcode."""
-    return {
-        Op.LB: 1,
-        Op.SB: 1,
-        Op.LH: 2,
-        Op.SH: 2,
-        Op.LW: 4,
-        Op.SW: 4,
-        Op.FLW: 4,
-        Op.FSW: 4,
-        Op.LD: 8,
-        Op.SD: 8,
-        Op.FLD: 8,
-        Op.FSD: 8,
-        Op.AMOADD: 8,
-    }[op]
+    return _MEM_SIZE_BY_OP[op]

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from repro.errors import WorkloadError
 from repro.isa.scalar import Op
-from repro.trace.instr import SInstr, Trace
-from repro.trace.source import ChainSource, InstrSource, TraceSource
+from repro.trace.instr import SInstr
+from repro.trace.source import InstrSource
 from repro.utils import Xorshift64
 
 _RUNTIME_PC = 0x8000  # runtime code region: shared, stays hot in the L1I
@@ -31,12 +31,10 @@ _RUNTIME_PC = 0x8000  # runtime code region: shared, stays hot in the L1I
 
 def _overhead_trace(n, tag):
     """``n`` ALU-ish instructions at stable runtime PCs."""
-    instrs = []
     pc = _RUNTIME_PC + tag * 256
     reg = 1_000_000 + tag  # dedicated runtime registers, self-dependences ok
-    for i in range(n):
-        instrs.append(SInstr(pc + 4 * (i % 16), Op.ADDI, dst=reg + (i % 4)))
-    return Trace(instrs, name=f"rt-{tag}")
+    return [SInstr(pc + 4 * (i % 16), Op.ADDI, reg + (i % 4))
+            for i in range(n)]
 
 
 # stages of a phase
@@ -45,42 +43,59 @@ _PARALLEL = 1
 
 
 class _Worker(InstrSource):
+    """One worker's instruction stream: the flat list of the work it
+    claimed last (runtime overhead spliced with a task body) and a
+    cursor into it."""
+
     # peek() may claim the next task (or barrier slice) from the shared
     # scheduler, so probing it off the exact tick grid would reorder
     # task-steal races; the skip scheduler must never peek a worker.
     pure_peek = False
 
-    __slots__ = ("sched", "idx", "vector_capable", "_cur")
+    __slots__ = ("sched", "idx", "vector_capable", "_stream", "_pos")
 
     def __init__(self, sched, idx, vector_capable):
         self.sched = sched
         self.idx = idx
         self.vector_capable = vector_capable
-        self._cur = None
+        self._stream = ()
+        self._pos = 0
 
     def peek(self):
-        while True:
-            if self._cur is not None and not self._cur.done():
-                return self._cur.peek()
-            self._cur = self.sched._next_work(self)
-            if self._cur is None:
+        stream = self._stream
+        pos = self._pos
+        while pos >= len(stream):
+            stream = self.sched._next_work(self)
+            if stream is None:
                 return None
+            self._stream = stream
+            self._pos = pos = 0
+        return stream[pos]
 
     def pop(self):
-        return self._cur.pop()
+        ins = self._stream[self._pos]
+        self._pos += 1
+        return ins
 
     def done(self):
-        return self.sched.finished and (self._cur is None or self._cur.done())
+        return self.sched.finished and self._pos >= len(self._stream)
 
 
 class WorkStealingRuntime:
-    """Builds one :class:`InstrSource` per worker from a TaskProgram."""
+    """Builds one :class:`InstrSource` per worker from a TaskProgram.
+
+    :meth:`_next_work` hands a worker one flat instruction list per claim:
+    the serial body then the spawn overhead; the dequeue or steal overhead
+    then the task's chosen variant; or the barrier overhead, for the last
+    worker to arrive. Each runtime-overhead run is built once per (length,
+    tag) and shared: instructions are never mutated after construction.
+    """
 
     __slots__ = ("program", "n_workers", "_rng", "spawn_overhead",
                  "deque_overhead", "steal_overhead", "barrier_overhead",
                  "workers", "_phase", "_stage", "_tasks", "_arrived",
                  "_serial_given", "finished", "tasks_executed", "steals",
-                 "_executed_ids")
+                 "_executed_ids", "_overheads")
 
     def __init__(
         self,
@@ -102,6 +117,7 @@ class WorkStealingRuntime:
         self.deque_overhead = deque_overhead
         self.steal_overhead = steal_overhead
         self.barrier_overhead = barrier_overhead
+        self._overheads = {}  # (length, tag) -> overhead instruction list
 
         caps = list(vector_capable) + [False] * (n_workers - len(vector_capable))
         self.workers = [_Worker(self, i, caps[i]) for i in range(n_workers)]
@@ -142,13 +158,11 @@ class WorkStealingRuntime:
                 return None
             if not self._serial_given:
                 self._serial_given = True
-                phase = self.program.phases[self._phase]
+                body = self.program.phases[self._phase].serial.instrs
                 spawn_cost = self.spawn_overhead * len(self._tasks)
-                parts = [TraceSource(phase.serial)]
                 if spawn_cost:
-                    parts.append(TraceSource(_overhead_trace(spawn_cost, tag=1)))
-
-                return ChainSource(parts)
+                    return body + self._overhead(spawn_cost, 1)
+                return body
             # serial body fully consumed by worker 0 -> open the task bag
             if self._tasks:
                 self._stage = _PARALLEL
@@ -164,20 +178,22 @@ class WorkStealingRuntime:
             self.tasks_executed += 1
             self._executed_ids.append(task.tid)
             overhead = self.deque_overhead if worker.idx == 0 else self._grab_cost(worker)
-
-            return ChainSource([
-                TraceSource(_overhead_trace(overhead, tag=2 + worker.idx)),
-                TraceSource(task.trace_for(worker.vector_capable)),
-            ])
+            return (self._overhead(overhead, 2 + worker.idx)
+                    + task.trace_for(worker.vector_capable).instrs)
         # barrier
         self._arrived.add(worker.idx)
         if len(self._arrived) == self.n_workers:
             self._phase += 1
             self._enter_phase()
-            cost = self.barrier_overhead
-
-            return ChainSource([TraceSource(_overhead_trace(cost, tag=10 + worker.idx))])
+            return self._overhead(self.barrier_overhead, 10 + worker.idx)
         return None
+
+    def _overhead(self, n, tag):
+        key = (n, tag)
+        run = self._overheads.get(key)
+        if run is None:
+            run = self._overheads[key] = _overhead_trace(n, tag)
+        return run
 
     def _pick_task(self, worker):
         # random victim selection is what "random work stealing" randomizes;

@@ -4,7 +4,7 @@ from repro.trace.instr import SInstr, VInstr, Trace
 from repro.trace.builder import TraceBuilder
 from repro.trace.vbuilder import VectorBuilder
 from repro.trace.task import Task, Phase, TaskProgram, single_trace_program
-from repro.trace.source import InstrSource, TraceSource, ChainSource, EmptySource
+from repro.trace.source import InstrSource, TraceSource
 
 __all__ = [
     "SInstr",
@@ -18,6 +18,4 @@ __all__ = [
     "single_trace_program",
     "InstrSource",
     "TraceSource",
-    "ChainSource",
-    "EmptySource",
 ]

@@ -19,7 +19,7 @@ Example
 from __future__ import annotations
 
 from repro.errors import TraceError
-from repro.isa.scalar import Op, mem_size
+from repro.isa.scalar import OP_MEM_SIZE, Op
 from repro.trace.instr import SInstr, Trace
 
 _ILEN = 4  # bytes per instruction for PC bookkeeping
@@ -58,10 +58,8 @@ class _Loop:
                 # induction-variable increment + compare folded into branch
                 tb.addi(None)
             taken = i != self._n - 1
-            tb._emit(
-                SInstr(tb._pc, Op.BR, taken=taken, target=self._head_pc if taken else None)
-            )
-            tb._pc += _ILEN
+            tb.emit_op(Op.BR, None, (), None, 0, taken,
+                       self._head_pc if taken else None)
             self._high_pc = max(self._high_pc, tb._pc)
         tb._pc = max(self._high_pc, tb._pc)
 
@@ -90,9 +88,12 @@ class TraceBuilder:
 
     def emit_op(self, op, dst=None, srcs=(), addr=None, size=0, taken=None, target=None):
         """Low-level emission; prefer the mnemonic helpers below."""
-        ins = SInstr(self._pc, op, dst=dst, srcs=tuple(srcs), addr=addr, size=size,
-                     taken=taken, target=target)
-        self._emit(ins)
+        if self._finished:
+            raise TraceError("builder already finished")
+        if type(srcs) is not tuple:
+            srcs = tuple(srcs)
+        ins = SInstr(self._pc, op, dst, srcs, addr, size, taken, target)
+        self._instrs.append(ins)
         self._pc += _ILEN
         return ins
 
@@ -109,18 +110,18 @@ class TraceBuilder:
 
     def _alu2(self, op, a, b):
         d = self.newreg()
-        self.emit_op(op, dst=d, srcs=(a, b))
+        self.emit_op(op, d, (a, b))
         return d
 
     def _alu1(self, op, a):
         d = self.newreg()
-        self.emit_op(op, dst=d, srcs=(a,))
+        self.emit_op(op, d, (a,))
         return d
 
     def li(self, _value=0):
         """Load-immediate; the value is irrelevant to timing."""
         d = self.newreg()
-        self.emit_op(Op.LUI, dst=d)
+        self.emit_op(Op.LUI, d)
         return d
 
     def add(self, a, b):
@@ -129,7 +130,7 @@ class TraceBuilder:
     def addi(self, a):
         """Add-immediate; ``a`` may be None for pure overhead instructions."""
         d = self.newreg()
-        self.emit_op(Op.ADDI, dst=d, srcs=(a,) if a is not None else ())
+        self.emit_op(Op.ADDI, d, (a,) if a is not None else ())
         return d
 
     def sub(self, a, b):
@@ -173,7 +174,7 @@ class TraceBuilder:
 
     def fmadd(self, a, b, c):
         d = self.newreg()
-        self.emit_op(Op.FMADD, dst=d, srcs=(a, b, c))
+        self.emit_op(Op.FMADD, d, (a, b, c))
         return d
 
     def fdiv(self, a, b):
@@ -199,12 +200,12 @@ class TraceBuilder:
     def _load(self, op, addr, addr_reg=None):
         d = self.newreg()
         srcs = (addr_reg,) if addr_reg is not None else ()
-        self.emit_op(op, dst=d, srcs=srcs, addr=addr, size=mem_size(op))
+        self.emit_op(op, d, srcs, addr, OP_MEM_SIZE[op])
         return d
 
     def _store(self, op, src, addr, addr_reg=None):
         srcs = (src,) if addr_reg is None else (src, addr_reg)
-        self.emit_op(op, srcs=srcs, addr=addr, size=mem_size(op))
+        self.emit_op(op, None, srcs, addr, OP_MEM_SIZE[op])
 
     def lw(self, addr, addr_reg=None):
         return self._load(Op.LW, addr, addr_reg)

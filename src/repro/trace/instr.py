@@ -24,6 +24,8 @@ class SInstr:
 
     __slots__ = ("pc", "op", "dst", "srcs", "addr", "size", "taken", "target")
 
+    is_vector = False
+
     def __init__(self, pc, op, dst=None, srcs=(), addr=None, size=0, taken=None, target=None):
         self.pc = pc
         self.op = op
@@ -33,10 +35,6 @@ class SInstr:
         self.size = size
         self.taken = taken  # branches only: resolved direction
         self.target = target  # branches only: resolved target pc
-
-    @property
-    def is_vector(self):
-        return False
 
     def __repr__(self):
         bits = [Op(self.op).name, f"pc={self.pc:#x}"]
@@ -85,6 +83,8 @@ class VInstr:
         "dep_ids",
     )
 
+    is_vector = True
+
     def __init__(
         self,
         pc,
@@ -116,10 +116,6 @@ class VInstr:
         self.masked = masked
         self.seq = seq
         self.dep_ids = dep_ids
-
-    @property
-    def is_vector(self):
-        return True
 
     def element_addrs(self):
         """Resolved per-element byte addresses for a memory instruction."""

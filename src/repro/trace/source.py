@@ -1,9 +1,9 @@
 """Instruction sources: where a core's front end pulls instructions from.
 
 A source decouples "what to execute next" from "how it is timed": fixed
-traces (single-threaded programs) and the work-stealing runtime (which splices
-task bodies and runtime-overhead sequences together at run time) present the
-same pull interface to the core models.
+traces (single-threaded programs) and the work-stealing runtime's workers
+(which splice task bodies and runtime-overhead sequences together at run
+time) present the same pull interface to the core models.
 """
 
 from __future__ import annotations
@@ -65,58 +65,3 @@ class TraceSource(InstrSource):
     @property
     def remaining(self):
         return len(self._instrs) - self._pos
-
-
-class ChainSource(InstrSource):
-    """Concatenate several sources (used to splice runtime overhead + task).
-
-    ``_advance`` is idempotent and externally unobservable, so peeks stay
-    pure as long as every chained source's peek is pure; the sources spliced
-    by the runtime are all :class:`TraceSource`, hence ``pure_peek``.
-    """
-
-    __slots__ = ("_sources", "_idx")
-
-    pure_peek = True
-
-    def __init__(self, sources=()):
-        self._sources = list(sources)
-        self._idx = 0
-
-    def append(self, source):
-        self._sources.append(source)
-
-    def _advance(self):
-        while self._idx < len(self._sources) and self._sources[self._idx].done():
-            self._idx += 1
-
-    def peek(self):
-        self._advance()
-        if self._idx < len(self._sources):
-            return self._sources[self._idx].peek()
-        return None
-
-    def pop(self):
-        self._advance()
-        return self._sources[self._idx].pop()
-
-    def done(self):
-        self._advance()
-        return self._idx >= len(self._sources)
-
-
-class EmptySource(InstrSource):
-    """A source that never produces (idle core)."""
-
-    __slots__ = ()
-
-    pure_peek = True
-
-    def peek(self):
-        return None
-
-    def pop(self):
-        raise IndexError("pop from EmptySource")
-
-    def done(self):
-        return True

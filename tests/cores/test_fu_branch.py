@@ -51,6 +51,47 @@ def test_bad_count_rejected():
         FUPool({FUClass.ALU: 0})
 
 
+def test_absent_class_never_issues():
+    fu = FUPool({FUClass.ALU: 1})
+    assert not fu.can_issue(FUClass.MUL, 0)
+    assert fu.try_issue(FUClass.MUL, 0) is None
+
+
+def test_sync_from_copies_without_aliasing():
+    lead = FUPool(LITTLE_FU_COUNTS)
+    lead.try_issue(FUClass.ALU, 0)
+    lead.try_issue(FUClass.DIV, 0)  # busy until 12
+    follower = FUPool(LITTLE_FU_COUNTS)
+    follower.sync_from(lead)
+    assert follower.try_issue(FUClass.ALU, 0) is None  # slot already used
+    assert follower.next_free_ps(FUClass.DIV, 0) == 12
+    # charging the follower in the same cycle leaves the leader unchanged
+    assert follower.try_issue(FUClass.MUL, 0) == 3
+    assert follower.try_issue(FUClass.FDIV, 0) == 12
+    assert lead.try_issue(FUClass.MUL, 0) == 3
+    assert lead.next_free_ps(FUClass.FDIV, 0) == 0
+
+
+def test_same_busy_after_counts_past_busy_times_as_free():
+    a = FUPool(LITTLE_FU_COUNTS)
+    b = FUPool(LITTLE_FU_COUNTS)
+    a.try_issue(FUClass.DIV, 0)  # busy until 12
+    assert not a.same_busy_after(b, 11)
+    assert a.same_busy_after(b, 12) and b.same_busy_after(a, 12)
+    b.try_issue(FUClass.DIV, 5)  # busy until 17
+    assert not a.same_busy_after(b, 12)
+    a.try_issue(FUClass.DIV, 12, occupancy=5)  # busy until 17 as well
+    assert a.same_busy_after(b, 12)
+
+
+def test_unpipelined_occupancy_blocks_exactly_that_many_periods():
+    fu = FUPool(LITTLE_FU_COUNTS, period=10)
+    assert fu.try_issue(FUClass.FDIV, 0, occupancy=3) == 120
+    assert fu.next_free_ps(FUClass.FDIV, 0) == 30
+    assert fu.try_issue(FUClass.FDIV, 29) is None
+    assert fu.try_issue(FUClass.FDIV, 30) == 120
+
+
 def test_bimodal_learns_loop_branch():
     p = BimodalPredictor()
     pc = 0x400

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.isa.scalar import Op
 from repro.runtime import WorkStealingRuntime
 from repro.trace import Phase, Task, TaskProgram, TraceBuilder
 
@@ -121,3 +122,53 @@ def test_empty_program_finishes_immediately():
     rt = WorkStealingRuntime(prog, n_workers=2)
     assert rt.finished
     assert all(w.done() for w in rt.workers)
+
+
+def _one_instr(pc, reg):
+    tb = TraceBuilder(start_pc=pc, start_reg=reg)
+    tb.addi(None)
+    return tb.finish()
+
+
+def test_worker_stream_order_and_runtime_pcs():
+    """One worker's popped stream, row by row: the serial body then the
+    spawn overhead; per task the dequeue overhead then the body; then the
+    barrier overhead. Runtime PCs are fixed because Fig. 5 counts
+    instruction fetches."""
+    tasks = [Task(0, {"scalar": _one_instr(0x200, 10)}),
+             Task(1, {"scalar": _one_instr(0x300, 20)})]
+    prog = TaskProgram([Phase(tasks, serial=_one_instr(0x100, 1))])
+    rt = WorkStealingRuntime(prog, n_workers=1, spawn_overhead=1,
+                             deque_overhead=2, barrier_overhead=3)
+    w = rt.workers[0]
+    rows = []
+    while w.peek() is not None:
+        ins = w.pop()
+        rows.append((ins.pc, ins.op, ins.dst))
+    rt_reg = 1_000_000
+    assert rows == [
+        (0x100, Op.ADDI, 1),  # serial body
+        (0x8100, Op.ADDI, rt_reg + 1),  # spawn: 1 per task, tag 1
+        (0x8104, Op.ADDI, rt_reg + 2),
+        (0x8200, Op.ADDI, rt_reg + 2),  # dequeue: tag 2 + worker 0
+        (0x8204, Op.ADDI, rt_reg + 3),
+        (0x200, Op.ADDI, 10),  # task 0
+        (0x8200, Op.ADDI, rt_reg + 2),
+        (0x8204, Op.ADDI, rt_reg + 3),
+        (0x300, Op.ADDI, 20),  # task 1
+        (0x8A00, Op.ADDI, rt_reg + 10),  # barrier: tag 10 + worker 0
+        (0x8A04, Op.ADDI, rt_reg + 11),
+        (0x8A08, Op.ADDI, rt_reg + 12),
+    ]
+    assert rt.finished and w.done()
+
+
+def test_overhead_runs_are_built_once_per_runtime():
+    a = WorkStealingRuntime(mk_program(8), n_workers=2)
+    b = WorkStealingRuntime(mk_program(8), n_workers=2)
+    drain(a)
+    drain(b)
+    assert a._overheads and a._overheads.keys() == b._overheads.keys()
+    for key, run in a._overheads.items():
+        assert a._overhead(*key) is run
+        assert b._overheads[key] is not run

@@ -120,16 +120,38 @@ def test_skipping_actually_happens_on_idle_heavy_case():
 DRIFT_WORKLOADS = ("blackscholes", "jacobi2d", "pathfinder", "sw")
 
 
+def _assert_loops_agree_on_registry_app(system, workload):
+    cfg = preset(system)
+    program = _program_for(cfg, get_workload(workload, "tiny"))
+    on = System(cfg).run(program, skip=True)
+    off = System(cfg).run(program, skip=False)
+    assert _split_stats(on.stats)[1] == _split_stats(off.stats)[1]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the event core drifts from the dense loop on "
                    "1bDV registry apps (ROADMAP item 1)")
 @pytest.mark.parametrize("workload", DRIFT_WORKLOADS)
 def test_event_matches_dense_on_1bdv_registry_app(workload):
-    cfg = preset("1bDV")
-    program = _program_for(cfg, get_workload(workload, "tiny"))
-    on = System(cfg).run(program, skip=True)
-    off = System(cfg).run(program, skip=False)
-    assert _split_stats(on.stats)[1] == _split_stats(off.stats)[1]
+    _assert_loops_agree_on_registry_app("1bDV", workload)
+
+
+# Work-stealing registry programs: the task programs of data-parallel
+# apps on 1bIV-4L, and Ligra on 1b-4VL (engine bypassed) and 1b-4L. The
+# runtime splices overhead and task bodies into each worker's stream at
+# run time, which no synthetic case above exercises at this size.
+
+WORKSTEALING_PAIRS = (
+    tuple(("1bIV-4L", w) for w in ("mmult", "saxpy", "backprop",
+                                   "pathfinder", "kmeans"))
+    + tuple(("1b-4VL", w) for w in ("bfs", "pagerank", "cc", "radii"))
+    + (("1b-4L", "bfs"), ("1b-4L", "kmeans")))
+
+
+@pytest.mark.parametrize("system,workload", WORKSTEALING_PAIRS,
+                         ids=[f"{s}/{w}" for s, w in WORKSTEALING_PAIRS])
+def test_event_matches_dense_on_workstealing_registry_app(system, workload):
+    _assert_loops_agree_on_registry_app(system, workload)
 
 
 # ---- seeded randomized differential matrix: event vs reference ------

@@ -4,8 +4,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.trace import (
-    ChainSource,
-    EmptySource,
     Phase,
     Task,
     TaskProgram,
@@ -66,33 +64,6 @@ def test_trace_source_order_and_done():
         seen.append(src.pop())
     assert seen == tr.instrs
     assert src.peek() is None
-
-
-def test_chain_source_concatenates():
-    a, b = small_trace(2), small_trace(3)
-    chain = ChainSource([TraceSource(a), TraceSource(b)])
-    out = []
-    while not chain.done():
-        out.append(chain.pop())
-    assert out == a.instrs + b.instrs
-
-
-def test_chain_source_append_while_draining():
-    a = small_trace(1)
-    chain = ChainSource([TraceSource(a)])
-    chain.pop()
-    assert chain.done()
-    b = small_trace(2)
-    chain.append(TraceSource(b))
-    assert not chain.done()
-    assert chain.pop() is b.instrs[0]
-
-
-def test_empty_source():
-    e = EmptySource()
-    assert e.done() and e.peek() is None
-    with pytest.raises(IndexError):
-        e.pop()
 
 
 def test_trace_counts():
