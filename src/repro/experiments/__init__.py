@@ -1,13 +1,8 @@
 """Experiment harness: runners, caching, per-figure/table generators, CLI."""
 
 from repro.experiments.cache import ResultCache, configure, get_cache, set_cache
-from repro.experiments.parallel import (
-    ParallelRunner,
-    RunRequest,
-    format_summary,
-    warm_cache,
-)
-from repro.experiments.runner import clear_cache, run_pair, speedups_over_1l
+from repro.experiments.parallel import ParallelRunner, RunRequest, format_summary
+from repro.experiments.runner import clear_cache, run_pair
 from repro.experiments import figures, tables
 
 __all__ = [
@@ -18,10 +13,8 @@ __all__ = [
     "ParallelRunner",
     "RunRequest",
     "format_summary",
-    "warm_cache",
     "clear_cache",
     "run_pair",
-    "speedups_over_1l",
     "figures",
     "tables",
 ]

@@ -19,9 +19,7 @@ work:
 
 from __future__ import annotations
 
-from repro.experiments.parallel import RunRequest, warm_cache
-from repro.experiments.runner import run_pair
-from repro.soc import preset
+from repro.experiments.parallel import RunRequest, run_sweep
 
 
 def cluster_scaling(workload="saxpy", scale="small", sizes=(2, 4, 8), jobs=None):
@@ -29,33 +27,28 @@ def cluster_scaling(workload="saxpy", scale="small", sizes=(2, 4, 8), jobs=None)
 
     The trace is regenerated per size: more lanes -> longer hardware vector
     (VLA code adapts automatically, as on real RVV hardware)."""
-    warm_cache([RunRequest("1L", workload, scale)]
-               + [RunRequest("1b-4VL", workload, scale, dict(n_little=n))
-                  for n in sizes], jobs=jobs)
-    base = run_pair("1L", workload, scale).stats["time_ps"]
-    out = {}
+    reqs = {"1L": RunRequest("1L", workload, scale)}
     for n in sizes:
-        cfg = preset("1b-4VL", n_little=n)
-        r = run_pair("1b-4VL", workload, scale, cfg=cfg)
-        out[n] = {
-            "vlen_bits": cfg.vlen_bits(4),
-            "speedup": base / r.stats["time_ps"],
-        }
-    return out
+        reqs[n] = RunRequest("1b-4VL", workload, scale, dict(n_little=n))
+    res = run_sweep(reqs, jobs)
+    base = res["1L"].stats["time_ps"]
+    return {n: {"vlen_bits": reqs[n].config().vlen_bits(4),
+                "speedup": base / res[n].stats["time_ps"]}
+            for n in sizes}
 
 
 def switch_penalty(workload="saxpy", scales=("tiny", "small"),
                    penalties=(0, 500, 2000, 8000), jobs=None):
     """Relative slowdown of 1b-4VL vs zero-cost switching, per region size."""
-    warm_cache([RunRequest("1b-4VL", workload, s, dict(switch_penalty=p))
-                for s in scales for p in penalties], jobs=jobs)
+    res = run_sweep({(s, p): RunRequest("1b-4VL", workload, s,
+                                        dict(switch_penalty=p))
+                     for s in scales for p in penalties}, jobs)
     out = {}
     for scale in scales:
         base = None
         row = {}
         for p in penalties:
-            t = run_pair("1b-4VL", workload, scale,
-                         switch_penalty=p).stats["time_ps"]
+            t = res[scale, p].stats["time_ps"]
             base = base or t
             row[p] = t / base
         out[scale] = row
@@ -64,25 +57,20 @@ def switch_penalty(workload="saxpy", scales=("tiny", "small"),
 
 def vxu_topology(workload="kmeans", scale="small", latencies=(0, 2, 8), jobs=None):
     """Ring (latency 2) vs crossbar (0) vs a slow serial network (8)."""
-    warm_cache([RunRequest("1b-4VL", workload, scale, dict(vxu_extra_latency=lat))
-                for lat in latencies], jobs=jobs)
-    out = {}
-    for lat in latencies:
-        out[lat] = run_pair("1b-4VL", workload, scale,
-                            vxu_extra_latency=lat).stats["time_ps"]
-    base = out[min(latencies)]
-    return {lat: t / base for lat, t in out.items()}
+    res = run_sweep({lat: RunRequest("1b-4VL", workload, scale,
+                                     dict(vxu_extra_latency=lat))
+                     for lat in latencies}, jobs)
+    base = res[min(latencies)].stats["time_ps"]
+    return {lat: r.stats["time_ps"] / base for lat, r in res.items()}
 
 
 def coalesce_width(workload="particlefilter", scale="small", widths=(1, 2, 4, 8),
                    jobs=None):
     """VMIU indexed-coalescing window sweep (relative performance)."""
-    warm_cache([RunRequest("1b-4VL", workload, scale, dict(coalesce_width=wdt))
-                for wdt in widths], jobs=jobs)
-    times = {}
-    for wdt in widths:
-        times[wdt] = run_pair("1b-4VL", workload, scale,
-                              coalesce_width=wdt).stats["time_ps"]
+    res = run_sweep({wdt: RunRequest("1b-4VL", workload, scale,
+                                     dict(coalesce_width=wdt))
+                     for wdt in widths}, jobs)
+    times = {wdt: r.stats["time_ps"] for wdt, r in res.items()}
     best = min(times.values())
     return {wdt: best / t for wdt, t in times.items()}
 
@@ -91,16 +79,11 @@ def dram_bandwidth(workload="vvadd", scale="small", intervals=(1, 2, 8, 16),
                    jobs=None):
     """1b-4VL vs 1bIV-4L advantage as DRAM bandwidth shrinks
     (line service interval in memory cycles: larger = less bandwidth)."""
-    warm_cache([RunRequest(s, workload, scale,
-                           dict(mem=dict(dram_line_interval=iv)))
-                for s in ("1b-4VL", "1bIV-4L") for iv in intervals], jobs=jobs)
-    out = {}
-    for iv in intervals:
-        mem = dict(dram_line_interval=iv)
-        t_vl = run_pair("1b-4VL", workload, scale, mem=mem).stats["time_ps"]
-        t_iv = run_pair("1bIV-4L", workload, scale, mem=mem).stats["time_ps"]
-        out[iv] = t_iv / t_vl
-    return out
+    res = run_sweep({(s, iv): RunRequest(s, workload, scale,
+                                         dict(mem=dict(dram_line_interval=iv)))
+                     for s in ("1b-4VL", "1bIV-4L") for iv in intervals}, jobs)
+    return {iv: res["1bIV-4L", iv].stats["time_ps"]
+            / res["1b-4VL", iv].stats["time_ps"] for iv in intervals}
 
 
 def graph_topology(apps=("bfs", "pagerank", "cc"), scale="small", jobs=None):

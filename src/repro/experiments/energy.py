@@ -10,8 +10,7 @@ view that rewards finishing fast.
 
 from __future__ import annotations
 
-from repro.experiments.parallel import RunRequest, warm_cache
-from repro.experiments.runner import run_pair
+from repro.experiments.parallel import RunRequest, run_sweep
 from repro.power import energy_j, system_power_w
 from repro.utils import geomean
 from repro.workloads import DATA_PARALLEL, KERNELS
@@ -23,13 +22,13 @@ def energy_table(scale="small", workloads=None,
     """Per-workload energy (J) and EDP (J*s) at a fixed DVFS point."""
     if workloads is None:
         workloads = KERNELS + DATA_PARALLEL
-    warm_cache([RunRequest(s, w, scale) for w in workloads for s in systems],
-               jobs=jobs)
+    res = run_sweep({(w, s): RunRequest(s, w, scale)
+                     for w in workloads for s in systems}, jobs)
     out = {}
     for w in workloads:
         row = {}
         for s in systems:
-            t_ps = run_pair(s, w, scale).stats["time_ps"]
+            t_ps = res[w, s].stats["time_ps"]
             p = system_power_w(s, big, little)
             e = energy_j(t_ps, p)
             row[s] = {"time_ps": t_ps, "power_w": p, "energy_j": e,

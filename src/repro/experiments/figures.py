@@ -4,11 +4,11 @@ Each ``figN`` function returns plain data structures (dicts keyed by
 workload/system) that the CLI and the benchmark harness print; shapes match
 the corresponding paper figure so paper-vs-measured comparison is direct.
 
-Every generator accepts ``jobs=N``: with ``N > 1`` it first enumerates its
-(system, workload, knobs) sweep and prefetches the misses through
-:class:`~repro.experiments.parallel.ParallelRunner`, then reads everything
-back from the (now warm) result cache — so the serial aggregation below
-stays byte-identical while the simulations run ``N``-wide.
+Each generator lists its (system, workload, knobs) sweep once and takes
+every result from one :class:`~repro.experiments.parallel.ParallelRunner`
+call (:func:`~repro.experiments.parallel.run_sweep`): ``jobs`` None or 1
+simulates the misses serially in-process, ``jobs=N`` on ``N`` worker
+processes, and the data returned is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from repro.power import (
     system_power_w,
 )
 from repro.soc import SYSTEM_NAMES
-from repro.experiments.parallel import RunRequest, warm_cache
-from repro.experiments.runner import run_pair
+from repro.experiments.parallel import RunRequest, run_sweep
 from repro.utils import geomean
 from repro.workloads import DATA_PARALLEL, KERNELS, TASK_PARALLEL
 
@@ -44,11 +43,11 @@ def fig4(scale="small", systems=SYSTEM_NAMES, workloads=None, jobs=None):
     """Speedup over 1L for every system and workload (plus geomeans)."""
     if workloads is None:
         workloads = TASK_PARALLEL + KERNELS + DATA_PARALLEL
-    warm_cache(fig4_requests(scale, systems, workloads), jobs=jobs)
-    out = {}
-    for w in workloads:
-        base = run_pair("1L", w, scale).stats["time_ps"]
-        out[w] = {s: base / run_pair(s, w, scale).stats["time_ps"] for s in systems}
+    res = run_sweep({(r.workload, r.system): r
+                     for r in fig4_requests(scale, systems, workloads)}, jobs)
+    out = {w: {s: res[w, "1L"].stats["time_ps"] / res[w, s].stats["time_ps"]
+               for s in systems}
+           for w in workloads}
     summary = {}
     tp = [w for w in workloads if w in TASK_PARALLEL]
     dp = [w for w in workloads if w in DATA_PARALLEL]
@@ -69,16 +68,14 @@ def fig4_requests(scale="small", systems=SYSTEM_NAMES, workloads=None):
 
 
 def _normalized_requests(stat_key, scale, workloads, jobs=None):
-    warm_cache([RunRequest(s, w, scale)
-                for w in workloads for s in ("1bDV", *VECTOR_SYSTEMS)],
-               jobs=jobs)
+    res = run_sweep({(w, s): RunRequest(s, w, scale)
+                     for w in workloads for s in ("1bDV", *VECTOR_SYSTEMS)},
+                    jobs)
     out = {}
     for w in workloads:
-        base = run_pair("1bDV", w, scale).stats[stat_key]
-        out[w] = {
-            s: run_pair(s, w, scale).stats[stat_key] / max(base, 1)
-            for s in VECTOR_SYSTEMS
-        }
+        base = res[w, "1bDV"].stats[stat_key]
+        out[w] = {s: res[w, s].stats[stat_key] / max(base, 1)
+                  for s in VECTOR_SYSTEMS}
     return out
 
 
@@ -101,20 +98,18 @@ def fig7(scale="small", workloads=None, jobs=None):
     compute-pipeline configurations (1c, 1c+sw, 2c+sw)."""
     if workloads is None:
         workloads = KERNELS + DATA_PARALLEL
-    warm_cache([RunRequest("1b-4VL", w, scale, dict(kw))
-                for w in workloads for kw in FIG7_CONFIGS.values()], jobs=jobs)
+    res = run_sweep({(w, cname): RunRequest("1b-4VL", w, scale, dict(kw))
+                     for w in workloads for cname, kw in FIG7_CONFIGS.items()},
+                    jobs)
     out = {}
-    for w in workloads:
-        out[w] = {}
-        for cname, kw in FIG7_CONFIGS.items():
-            res = run_pair("1b-4VL", w, scale, **kw)
-            bd = {
-                k.split(".")[-1]: v
-                for k, v in res.stats.items()
-                if k.startswith("vlittle.lane_stall.")
-            }
-            bd["cycles"] = res.cycles
-            out[w][cname] = bd
+    for (w, cname), r in res.items():
+        bd = {
+            k.split(".")[-1]: v
+            for k, v in r.stats.items()
+            if k.startswith("vlittle.lane_stall.")
+        }
+        bd["cycles"] = r.cycles
+        out.setdefault(w, {})[cname] = bd
     return out
 
 
@@ -123,55 +118,43 @@ def fig8(scale="small", workloads=None, depths=FIG8_DEPTHS, jobs=None):
     the deepest configuration."""
     if workloads is None:
         workloads = KERNELS + DATA_PARALLEL
-    warm_cache([RunRequest("1b-4VL", w, scale, dict(vmu_loadq=d, vmu_storeq=d))
-                for w in workloads for d in depths], jobs=jobs)
+    res = run_sweep({(w, d): RunRequest("1b-4VL", w, scale,
+                                        dict(vmu_loadq=d, vmu_storeq=d))
+                     for w in workloads for d in depths}, jobs)
     out = {}
     for w in workloads:
-        times = {}
-        for d in depths:
-            times[d] = run_pair("1b-4VL", w, scale,
-                                vmu_loadq=d, vmu_storeq=d).stats["time_ps"]
-        best = times[max(depths)]
-        out[w] = {d: best / t for d, t in times.items()}  # relative performance
+        best = res[w, max(depths)].stats["time_ps"]
+        out[w] = {d: best / res[w, d].stats["time_ps"] for d in depths}
     return out
 
 
-def _dvfs_requests(system, workload, scale, big_levels, little_levels):
-    out = []
-    for b in big_levels:
+def _dvfs_requests(system, workload, scale, little_levels=LITTLE_LEVELS):
+    """``{(system, workload, big, little): RunRequest}`` over the DVFS
+    grid."""
+    out = {}
+    for b in BIG_LEVELS:
         for l in little_levels:
             fb, fl = freqs(b, l)
-            out.append(RunRequest(system, workload, scale,
-                                  dict(freq_big=fb, freq_little=fl)))
+            out[system, workload, b, l] = RunRequest(
+                system, workload, scale, dict(freq_big=fb, freq_little=fl))
     return out
-
-
-def _dvfs_points(system, workload, scale, big_levels, little_levels):
-    pts = {}
-    for b in big_levels:
-        for l in little_levels:
-            fb, fl = freqs(b, l)
-            r = run_pair(system, workload, scale, freq_big=fb, freq_little=fl)
-            pts[(b, l)] = r.stats["time_ps"]
-    return pts
 
 
 def fig9(scale="small", workloads=None, systems=("1bIV-4L", "1b-4VL"), jobs=None):
     """Speedup over 1L@1GHz at every (big, little) DVFS combination."""
     if workloads is None:
         workloads = DATA_PARALLEL
-    reqs = [RunRequest("1L", w, scale) for w in workloads]
+    reqs = {("1L", w): RunRequest("1L", w, scale) for w in workloads}
     for w in workloads:
         for s in systems:
-            reqs += _dvfs_requests(s, w, scale, BIG_LEVELS, LITTLE_LEVELS)
-    warm_cache(reqs, jobs=jobs)
+            reqs.update(_dvfs_requests(s, w, scale))
+    res = run_sweep(reqs, jobs)
     out = {}
     for w in workloads:
-        base = run_pair("1L", w, scale).stats["time_ps"]
-        out[w] = {}
-        for s in systems:
-            pts = _dvfs_points(s, w, scale, BIG_LEVELS, LITTLE_LEVELS)
-            out[w][s] = {k: base / t for k, t in pts.items()}
+        base = res["1L", w].stats["time_ps"]
+        out[w] = {s: {(b, l): base / res[s, w, b, l].stats["time_ps"]
+                      for b in BIG_LEVELS for l in LITTLE_LEVELS}
+                  for s in systems}
     return out
 
 
@@ -180,15 +163,15 @@ def fig10(scale="small", workloads=None, jobs=None):
     plus the per-workload Pareto-optimal points."""
     if workloads is None:
         workloads = DATA_PARALLEL
-    warm_cache([r for w in workloads
-                for r in _dvfs_requests("1b-4VL", w, scale,
-                                        BIG_LEVELS, LITTLE_LEVELS)], jobs=jobs)
+    reqs = {}
+    for w in workloads:
+        reqs.update(_dvfs_requests("1b-4VL", w, scale))
+    res = run_sweep(reqs, jobs)
     out = {}
     for w in workloads:
-        pts = []
-        for (b, l), t in _dvfs_points("1b-4VL", w, scale,
-                                      BIG_LEVELS, LITTLE_LEVELS).items():
-            pts.append((t, system_power_w("1b-4VL", b, l), (b, l)))
+        pts = [(res["1b-4VL", w, b, l].stats["time_ps"],
+                system_power_w("1b-4VL", b, l), (b, l))
+               for b in BIG_LEVELS for l in LITTLE_LEVELS]
         out[w] = {"points": pts, "pareto": pareto_frontier(pts)}
     return out
 
@@ -198,21 +181,19 @@ def fig11(scale="small", workloads=None,
     """All designs' time/power points and the overall Pareto frontier."""
     if workloads is None:
         workloads = DATA_PARALLEL
-    reqs = []
+    little = {s: LITTLE_LEVELS if s != "1bDV" else {"l1": LITTLE_LEVELS["l1"]}
+              for s in systems}
+    reqs = {}
     for w in workloads:
         for s in systems:
-            little = LITTLE_LEVELS if s != "1bDV" else {"l1": LITTLE_LEVELS["l1"]}
-            reqs += _dvfs_requests(s, w, scale, BIG_LEVELS, little)
-    warm_cache(reqs, jobs=jobs)
+            reqs.update(_dvfs_requests(s, w, scale, little[s]))
+    res = run_sweep(reqs, jobs)
     out = {}
     for w in workloads:
-        sys_pts = {}
-        for s in systems:
-            little = LITTLE_LEVELS if s != "1bDV" else {"l1": LITTLE_LEVELS["l1"]}
-            pts = []
-            for (b, l), t in _dvfs_points(s, w, scale, BIG_LEVELS, little).items():
-                pts.append((t, system_power_w(s, b, l), (s, b, l)))
-            sys_pts[s] = pts
+        sys_pts = {s: [(res[s, w, b, l].stats["time_ps"],
+                        system_power_w(s, b, l), (s, b, l))
+                       for b in BIG_LEVELS for l in little[s]]
+                   for s in systems}
         allpts = [p for pts in sys_pts.values() for p in pts]
         out[w] = {"points": sys_pts, "pareto": pareto_frontier(allpts)}
     return out

@@ -10,15 +10,18 @@ The runner:
 2. deduplicates the misses by cache key, so a sweep that mentions the same
    pair twice simulates it once;
 3. simulates the remaining keys on ``jobs`` worker processes (serially
-   in-process for ``jobs <= 1``), or on a long-lived executor the caller
-   passes as ``pool=``; the parent stores each result in the cache as it
-   arrives, so an interrupted sweep resumes;
+   in-process for ``jobs`` None or ``<= 1``), or on a long-lived executor
+   the caller passes as ``pool=``; the parent stores each result in the
+   cache once, as it arrives, so an interrupted sweep resumes;
 4. emits optional per-run progress lines (through the
    :mod:`repro.log` structured logger) and a wall-clock/hit-rate/worker-
    utilization summary.
 
-A warm cache therefore turns a full figure sweep into pure lookups — zero
-``System.run`` calls — and a cold one runs at ``jobs``-way parallelism.
+Every figure, ablation and energy generator lists its whole sweep once and
+takes its results from one :meth:`ParallelRunner.run` call
+(:func:`run_sweep`). A warm cache therefore turns a full figure sweep into
+one lookup per request — zero ``System.run`` calls — and a cold one runs at
+``jobs``-way parallelism.
 
 When sweep telemetry is enabled (:mod:`repro.experiments.telemetry`), the
 runner brackets the sweep with ``sweep_start``/``sweep_end`` events, the
@@ -84,14 +87,14 @@ def _simulate(req):
 class ParallelRunner:
     """Run many :class:`RunRequest`\\ s concurrently with shared caching.
 
+    ``jobs`` None or ``<= 1`` simulates serially in this process.
     ``pool`` is an executor that outlives the runner (the sweep service
     keeps one per server); the runner then simulates on it rather than
     on a process pool of its own, and ``jobs`` is the pool's size.
     """
 
-    def __init__(self, jobs=None, use_cache=True, cache=None, pool=None):
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.use_cache = use_cache
+    def __init__(self, jobs=None, cache=None, pool=None):
+        self.jobs = 1 if jobs is None else jobs
         self.cache = cache if cache is not None else get_cache()
         self.pool = pool
         self._summary = None
@@ -108,7 +111,7 @@ class ParallelRunner:
         hits = 0
         load_wall = 0.0
         # a disabled parent cache means fully cacheless (workers included)
-        use_cache = self.use_cache and self.cache.enabled
+        use_cache = self.cache.enabled
         tel = telemetry.current()
         if tel is not None:
             tel.event("sweep_start", requests=len(requests), jobs=self.jobs,
@@ -180,11 +183,11 @@ class ParallelRunner:
         else:
             workers = 1 if n_sim else 0
             for key, (req, idxs) in pending.items():
-                # run_pair emits its own run/span telemetry on this path
+                # run_pair emits its own run/span telemetry on this path;
+                # the lookup above and finish() are the only cache calls
                 t_start = time.time()
                 result = run_pair(req.system, req.workload, req.scale,
-                                  use_cache=use_cache, cache=self.cache,
-                                  **req.overrides)
+                                  use_cache=False, **req.overrides)
                 busy_s += time.time() - t_start
                 finish(key, req, idxs, result)
 
@@ -230,12 +233,6 @@ class ParallelRunner:
         tel.span(payload["pid"], req.label(), payload["t_start"],
                  payload["t_end"], key=key)
 
-    def warm(self, requests, progress=False):
-        """Fill the cache for ``requests``; the sweep's serial readers then
-        hit memory/disk only."""
-        self.run(requests, progress=progress)
-        return self._summary
-
     def summary(self):
         """Stats from the most recent :meth:`run`."""
         return dict(self._summary) if self._summary else None
@@ -243,7 +240,7 @@ class ParallelRunner:
     def levels(self):
         """Per-request cache-hit levels from the most recent :meth:`run`,
         aligned with its inputs: ``"memory"``, ``"disk"``, or ``"fresh"``
-        (every request is ``"fresh"`` under ``use_cache=False``).  The
+        (every request is ``"fresh"`` when the cache is disabled).  The
         sweep service forwards these so every API response says how hot
         its path was."""
         return list(self._levels) if self._levels is not None else None
@@ -253,15 +250,12 @@ class ParallelRunner:
         _logger.info(msg)
 
 
-def warm_cache(requests, jobs=None, progress=False):
-    """Convenience: prefetch ``requests`` into the global cache in parallel.
-
-    No-op (beyond cache lookups) when everything is already cached; called by
-    the figure/table/ablation generators when invoked with ``jobs > 1``.
-    """
-    if jobs is None or jobs <= 1:
-        return None
-    return ParallelRunner(jobs=jobs).warm(requests, progress=progress)
+def run_sweep(requests, jobs=None):
+    """Resolve a ``{point: RunRequest}`` sweep in one
+    :meth:`ParallelRunner.run` call, in the sweep's order; returns
+    ``{point: RunResult}``."""
+    results = ParallelRunner(jobs=jobs).run(requests.values())
+    return dict(zip(requests, results))
 
 
 def format_summary(summary):

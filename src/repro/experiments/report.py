@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.power import BIG_LEVELS, LITTLE_LEVELS
 from repro.utils import geomean
 from repro.workloads import DATA_PARALLEL, KERNELS, TASK_PARALLEL
 
@@ -36,11 +35,6 @@ def collect(scale="small", jobs=None):
         "fig11": figures.fig11(scale=scale, jobs=jobs),
         "table6": tables.table6_data(scale=scale),
     }
-
-
-def _norm_keys(d):
-    """JSON round-trips tuple keys to strings; normalize access."""
-    return d
 
 
 def _f4_ratio(sp, num, den, wls):

@@ -26,7 +26,7 @@ from repro.errors import ConfigError
 from repro.experiments import telemetry
 from repro.experiments.cache import SIM_VERSION, get_cache
 from repro.soc import System, preset
-from repro.workloads import REGISTRY, get_workload
+from repro.workloads import get_workload
 
 #: chunks for data-parallel task decomposition: fine enough that the slow
 #: little cores never hold a long critical path (Cilk-style grain sizing)
@@ -103,13 +103,3 @@ def run_pair(system_name, workload_name, scale="small", cfg=None, use_cache=True
     if use_cache:
         cache.put(key, result)
     return result
-
-
-def speedups_over_1l(workload_name, systems, scale="small"):
-    """Fig. 4 metric: execution-time speedup of each system over ``1L``."""
-    base = run_pair("1L", workload_name, scale)
-    out = {}
-    for s in systems:
-        r = run_pair(s, workload_name, scale)
-        out[s] = base.stats["time_ps"] / r.stats["time_ps"]
-    return out

@@ -12,19 +12,3 @@ def fresh_cache(tmp_path):
     cache = set_cache(ResultCache(cache_dir=str(tmp_path / "cache")))
     yield cache
     set_cache(old)
-
-
-@pytest.fixture
-def run_spy(monkeypatch):
-    """Count every ``System.run`` invocation (any import site)."""
-    from repro.soc.system import System
-
-    calls = {"n": 0}
-    real_run = System.run
-
-    def counting_run(self, *a, **kw):
-        calls["n"] += 1
-        return real_run(self, *a, **kw)
-
-    monkeypatch.setattr(System, "run", counting_run)
-    return calls

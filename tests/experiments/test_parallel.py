@@ -1,14 +1,12 @@
-"""Parallel-runner tests: warm-cache short-circuit, dedup, summaries."""
+"""Parallel-runner tests: warm-cache short-circuit, dedup, summaries, and
+one lookup, one store and one simulation per sweep point."""
 
 import pytest
 
-from repro.experiments import figures
-from repro.experiments.parallel import (
-    ParallelRunner,
-    RunRequest,
-    format_summary,
-    warm_cache,
-)
+from repro.experiments import configure, figures, set_cache, telemetry
+from repro.experiments.cache import ResultCache
+from repro.experiments.parallel import ParallelRunner, RunRequest, format_summary
+from repro.power import BIG_LEVELS, LITTLE_LEVELS
 
 WLS = ["vvadd", "saxpy"]
 SYSTEMS = ["1L", "1b", "1b-4VL"]
@@ -59,7 +57,8 @@ def test_duplicate_requests_simulate_once(fresh_cache):
 
 def test_no_cache_runner_simulates_every_request(fresh_cache, run_spy):
     reqs = [RunRequest("1b", "vvadd", "tiny")] * 2
-    runner = ParallelRunner(jobs=1, use_cache=False)
+    fresh_cache.enabled = False
+    runner = ParallelRunner(jobs=1)
     runner.run(reqs)
     assert run_spy["n"] == 2
     assert fresh_cache.stats()["disk_entries"] == 0
@@ -81,12 +80,6 @@ def test_overrides_reach_worker_processes(fresh_cache):
     fast = RunRequest("1b-4VL", "saxpy", "tiny", dict(switch_penalty=0))
     r_slow, r_fast = ParallelRunner(jobs=2).run([slow, fast])
     assert r_slow.stats["time_ps"] > r_fast.stats["time_ps"]
-
-
-def test_warm_cache_noop_when_serial(fresh_cache, run_spy):
-    assert warm_cache([RunRequest("1b", "vvadd", "tiny")], jobs=None) is None
-    assert warm_cache([RunRequest("1b", "vvadd", "tiny")], jobs=1) is None
-    assert run_spy["n"] == 0
 
 
 def test_disabled_cache_keeps_workers_cacheless(fresh_cache):
@@ -116,3 +109,55 @@ def test_progress_lines_emitted(fresh_cache, capsys):
                                progress=True)
     err = capsys.readouterr().err
     assert "[1/1] 1b/vvadd@tiny simulated" in err
+
+
+def test_serial_runner_looks_up_and_stores_each_miss_once(fresh_cache,
+                                                          monkeypatch):
+    """The serial path simulates through ``run_pair`` without its cache:
+    the runner's own lookup and store are the only cache calls."""
+    puts = []
+    real_put = fresh_cache.put
+
+    def counting_put(key, result):
+        puts.append(key)
+        real_put(key, result)
+
+    monkeypatch.setattr(fresh_cache, "put", counting_put)
+    tel = telemetry.enable()
+    try:
+        ParallelRunner(jobs=1).run([RunRequest("1b", "vvadd", "tiny"),
+                                    RunRequest("1L", "vvadd", "tiny")])
+    finally:
+        telemetry.disable()
+    assert fresh_cache.misses == 2
+    assert len(puts) == len(set(puts)) == 2
+    assert tel.counts["cache_miss"] == 2
+
+
+def test_no_cache_sweep_simulates_each_run_once(fresh_cache, run_spy):
+    """--no-cache with a pool: the pooled results are the sweep's results,
+    not discarded and re-simulated serially."""
+    configure(enabled=False)
+    figures.fig8(scale="tiny", workloads=["saxpy"], jobs=2)
+    assert run_spy["n"] == len(figures.FIG8_DEPTHS)
+    assert fresh_cache.stats()["disk_entries"] == 0
+
+
+def test_warm_sweep_makes_one_lookup_per_request(fresh_cache, run_spy):
+    """A warm pooled figure reads each of its requests once from a fresh
+    cache on the warm directory, and simulates nothing."""
+    figures.fig9(scale="tiny", workloads=["backprop"], jobs=2)
+    gets = []
+
+    class CountingCache(ResultCache):
+        def get(self, key):
+            gets.append(key)
+            return ResultCache.get(self, key)
+
+    warm = set_cache(CountingCache(cache_dir=fresh_cache.cache_dir))
+    before = run_spy["n"]
+    figures.fig9(scale="tiny", workloads=["backprop"], jobs=2)
+    n_requests = 1 + 2 * len(BIG_LEVELS) * len(LITTLE_LEVELS)  # 1L + 2 grids
+    assert len(gets) == len(set(gets)) == n_requests == 33
+    assert warm.disk_hits == n_requests
+    assert run_spy["n"] == before

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.experiments import clear_cache, run_pair, speedups_over_1l
+from repro.experiments import clear_cache, run_pair
 from repro.soc import preset
 
 
@@ -54,12 +54,6 @@ def test_vlittle_scalar_mode_equivalence_through_runner():
     a = run_pair("1b-4L", "bfs", "tiny")
     b = run_pair("1b-4VL", "bfs", "tiny")
     assert a.cycles == b.cycles
-
-
-def test_speedups_over_1l():
-    sp = speedups_over_1l("vvadd", ["1L", "1b"], "tiny")
-    assert sp["1L"] == 1.0
-    assert sp["1b"] > 1.0
 
 
 def test_unknown_workload_raises():

@@ -1,0 +1,40 @@
+"""The docs lint's Python-import check (``tools/docs_check.py``).
+
+The script is a standalone tool, not a package module, so it is loaded
+by path.
+"""
+
+import importlib.util
+import os
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _docs_check():
+    spec = importlib.util.spec_from_file_location(
+        "docs_check", os.path.join(ROOT, "tools", "docs_check.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DOC = """\
+# Example
+
+`from repro.experiments import not_in_a_fence` is inline code, not checked.
+
+```python
+from repro.experiments import (
+    run_pair,            # exists
+    no_such_function,
+)
+```
+"""
+
+
+def test_stale_import_reports_exactly_the_missing_name():
+    docs_check = _docs_check()
+    names = [name for _, _, name in docs_check.doc_imports(DOC)]
+    assert names == ["run_pair", "no_such_function"]
+    assert list(docs_check.stale_imports(DOC)) == [
+        (6, "repro.experiments.no_such_function")]

@@ -14,7 +14,10 @@ docs/*.md) and cross-checks it against the live argparse tree
 * ``docs/service.md`` must mention every ``bigvlittle serve`` flag and
   every API endpoint in :data:`repro.service.schemas.ENDPOINTS`;
 * every repository path a doc names under ``benchmarks/``, ``tools/``,
-  ``perfbench/``, ``tests/`` or ``src/`` must exist.
+  ``perfbench/``, ``tests/`` or ``src/`` must exist;
+* every name a fenced ``from repro... import a, b`` (or its parenthesized
+  multi-line form) imports must be an attribute or submodule of that
+  module.
 
 Tokens containing shell placeholders (``<PATH>``, ``{stats,clear}``,
 ``$VAR``, globs) are skipped; pipelines are cut at the first shell
@@ -26,6 +29,7 @@ Run from the repo root: ``python tools/docs_check.py`` (CI does).
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import sys
@@ -45,6 +49,10 @@ PLACEHOLDER_CHARS = set("<>{}*$")
 REPO_PATH = re.compile(r"(?:(?<=\.\./)|(?<![\w./-]))"
                        r"((?:benchmarks|tools|perfbench|tests|src)/"
                        r"[\w./<>{}*$-]*)")
+#: ``from repro... import`` at the start of a line, then the names: the
+#: rest of the line, or a parenthesized list over several lines
+REPRO_IMPORT = re.compile(r"^[ \t]*from[ \t]+(repro(?:\.\w+)*)[ \t]+import"
+                          r"[ \t]+(\([^)]*\)|[^\n]*)", re.M)
 
 
 def doc_paths(root):
@@ -102,6 +110,56 @@ def missing_paths(root, text):
                 yield lineno, path
 
 
+def fenced_blocks(text):
+    """Yield (first_line_number, block_text) for each fenced code block."""
+    block = None
+    for i, line in enumerate(text.splitlines(), 1):
+        if line.strip().startswith("```"):
+            if block is None:
+                start, block = i + 1, []
+            else:
+                yield start, "\n".join(block)
+                block = None
+        elif block is not None:
+            block.append(line)
+
+
+def doc_imports(text):
+    """Yield (line_number, module, name) for every name a fenced
+    ``from repro... import ...`` statement imports."""
+    for start, block in fenced_blocks(text):
+        for m in REPRO_IMPORT.finditer(block):
+            lineno = start + block.count("\n", 0, m.start())
+            names = re.sub(r"#[^\n]*", "", m.group(2))
+            for part in names.strip().strip("()").split(","):
+                words = part.split()  # "name" or "name as alias"
+                if words and words[0] != "*":
+                    yield lineno, m.group(1), words[0]
+
+
+def importable(module, name):
+    """Whether ``from module import name`` succeeds."""
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    if hasattr(mod, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def stale_imports(text):
+    """Yield (line_number, "module.name") for every fenced repro import
+    of a name that does not exist."""
+    for lineno, module, name in doc_imports(text):
+        if not importable(module, name):
+            yield lineno, f"{module}.{name}"
+
+
 def parser_flags(parser):
     return {opt for action in parser._actions
             for opt in action.option_strings if opt.startswith("--")}
@@ -126,6 +184,9 @@ def check_docs(root):
             text = f.read()
         for lineno, missing in missing_paths(root, text):
             problems.append(f"{rel}:{lineno}: names {missing!r}, which "
+                            f"does not exist")
+        for lineno, missing in stale_imports(text):
+            problems.append(f"{rel}:{lineno}: imports {missing!r}, which "
                             f"does not exist")
         for lineno, tokens in commands_in(text):
             verb = tokens[0]
