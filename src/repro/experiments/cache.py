@@ -81,9 +81,8 @@ def default_cache_dir():
 class ResultCache:
     """Two-level (memory + disk) cache keyed by full-config content hash."""
 
-    def __init__(self, cache_dir=None, disk=True, enabled=True, shards=0):
+    def __init__(self, cache_dir=None, enabled=True, shards=0):
         self.cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-        self.disk = disk
         self.enabled = enabled
         self.shards = int(shards)  # hex-prefix length; 0 = flat legacy layout
         self._mem = {}
@@ -144,35 +143,34 @@ class ResultCache:
                 tel.event("cache_hit", key=key, level="memory",
                           load_wall_s=0.0)
             return self._mem[key]
-        if self.disk:
-            path = self.path_for(key)
-            if self.shards and not os.path.exists(path):
-                # a sharded cache still reads flat legacy entries in place
-                path = self._flat_path(key)
-            if os.path.exists(path):
-                t0 = time.perf_counter()
-                try:
-                    with open(path) as f:
-                        record = json.load(f)
-                    result = RunResult.from_dict(record["result"])
-                except (OSError, ValueError, KeyError, TypeError) as e:
-                    self.corrupt += 1
-                    if tel is not None:
-                        tel.event("cache_corrupt", key=key, path=path)
-                    warnings.warn(
-                        f"corrupted result-cache file {path} ({e!r}); "
-                        f"re-simulating", RuntimeWarning, stacklevel=2)
-                else:
-                    load_s = time.perf_counter() - t0
-                    result.timing["from_cache"] = True
-                    result.timing["load_wall_s"] = round(load_s, 6)
-                    self._mem[key] = result
-                    self.hits += 1
-                    self.disk_hits += 1
-                    if tel is not None:
-                        tel.event("cache_hit", key=key, level="disk",
-                                  load_wall_s=round(load_s, 6))
-                    return result
+        path = self.path_for(key)
+        if self.shards and not os.path.exists(path):
+            # a sharded cache still reads flat legacy entries in place
+            path = self._flat_path(key)
+        if os.path.exists(path):
+            t0 = time.perf_counter()
+            try:
+                with open(path) as f:
+                    record = json.load(f)
+                result = RunResult.from_dict(record["result"])
+            except (OSError, ValueError, KeyError, TypeError) as e:
+                self.corrupt += 1
+                if tel is not None:
+                    tel.event("cache_corrupt", key=key, path=path)
+                warnings.warn(
+                    f"corrupted result-cache file {path} ({e!r}); "
+                    f"re-simulating", RuntimeWarning, stacklevel=2)
+            else:
+                load_s = time.perf_counter() - t0
+                result.timing["from_cache"] = True
+                result.timing["load_wall_s"] = round(load_s, 6)
+                self._mem[key] = result
+                self.hits += 1
+                self.disk_hits += 1
+                if tel is not None:
+                    tel.event("cache_hit", key=key, level="disk",
+                              load_wall_s=round(load_s, 6))
+                return result
         self.misses += 1
         if tel is not None:
             tel.event("cache_miss", key=key)
@@ -182,26 +180,25 @@ class ResultCache:
         if not self.enabled:
             return
         self._mem[key] = result
-        if self.disk:
-            target = self.path_for(key)
-            target_dir = os.path.dirname(target)
-            os.makedirs(target_dir, exist_ok=True)
-            record = {"sim_version": SIM_VERSION, "result": result.to_dict()}
-            # atomic write: parallel workers may race on the same key, so the
-            # temp file lives in the *target* directory (same filesystem) and
-            # lands via an atomic rename — a reader sees the old complete
-            # file or the new complete file, never a torn one
-            fd, tmp = tempfile.mkstemp(dir=target_dir, suffix=".tmp")
+        target = self.path_for(key)
+        target_dir = os.path.dirname(target)
+        os.makedirs(target_dir, exist_ok=True)
+        record = {"sim_version": SIM_VERSION, "result": result.to_dict()}
+        # atomic write: parallel workers may race on the same key, so the
+        # temp file lives in the *target* directory (same filesystem) and
+        # lands via an atomic rename — a reader sees the old complete
+        # file or the new complete file, never a torn one
+        fd, tmp = tempfile.mkstemp(dir=target_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(record, f)
+            os.replace(tmp, target)
+        except BaseException:
             try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(record, f)
-                os.replace(tmp, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     # ------------------------------------------------------------- lifecycle
 
@@ -267,20 +264,18 @@ class ResultCache:
     def stats(self):
         disk_entries = disk_bytes = 0
         shard_dirs = set()
-        if self.disk:
-            for p in self._entry_paths():
-                disk_entries += 1
-                try:
-                    disk_bytes += os.path.getsize(p)
-                except OSError:
-                    pass
-                parent = os.path.dirname(p)
-                if parent != self.cache_dir.rstrip(os.sep):
-                    shard_dirs.add(parent)
+        for p in self._entry_paths():
+            disk_entries += 1
+            try:
+                disk_bytes += os.path.getsize(p)
+            except OSError:
+                pass
+            parent = os.path.dirname(p)
+            if parent != self.cache_dir.rstrip(os.sep):
+                shard_dirs.add(parent)
         return {
             "dir": self.cache_dir,
             "enabled": self.enabled,
-            "disk": self.disk,
             "shards": self.shards,
             "shard_dirs": len(shard_dirs),
             "memory_entries": len(self._mem),
@@ -314,16 +309,8 @@ def set_cache(cache):
     return _cache
 
 
-def configure(cache_dir=None, disk=None, enabled=None, shards=None):
-    """Tweak the global cache in place; returns it."""
+def configure(enabled):
+    """Switch the global cache on or off in place; returns it."""
     c = get_cache()
-    if cache_dir is not None:
-        c.cache_dir = cache_dir
-        c._mem.clear()
-    if disk is not None:
-        c.disk = disk
-    if enabled is not None:
-        c.enabled = enabled
-    if shards is not None:
-        c.shards = int(shards)
+    c.enabled = enabled
     return c

@@ -61,9 +61,12 @@ Observability (see ``docs/observability.md``):
   ``--timeline`` diffs two timeline dumps instead, localizing the first
   out-of-tolerance cycle per column.
 
-All obs verbs always simulate fresh (never read or write the result
-cache: attaching an Observation adds ``obs.*`` keys that must not leak
-into cached results).
+The eight single-run verbs above, ``trace`` through ``inspect``, share
+one parser builder and one main, and always simulate fresh: they never
+read or write the result cache, because an attached Observation adds
+``obs.*`` keys, and a HostScope host timings, that must not leak into
+cached results.  Every verb dispatches from one table, from which
+:data:`NAMED_VERBS` and :func:`cli_registry` derive.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
-from repro.experiments import ablations, figures, tables
+from repro.experiments import ablations, benchhistory, figures, tables
 from repro.experiments.cache import configure, get_cache
 
 _FIGS = {
@@ -136,26 +140,7 @@ def _experiments_parser():
     return parser
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] in ("trace", "profile", "pipeview", "timeline",
-                            "phases"):
-        return _obs_main(argv[0], argv[1:])
-    if argv and argv[0] == "hostprof":
-        return _hostprof_main(argv[1:])
-    if argv and argv[0] == "critpath":
-        return _critpath_main(argv[1:])
-    if argv and argv[0] == "inspect":
-        return _inspect_main(argv[1:])
-    if argv and argv[0] == "bench-history":
-        return _bench_history_main(argv[1:])
-    if argv and argv[0] == "diff":
-        return _diff_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-
+def _experiments_main(argv):
     args = _experiments_parser().parse_args(argv)
 
     if args.no_cache:
@@ -218,7 +203,10 @@ def main(argv=None):
     return 0
 
 
-_OBS_DESCRIPTIONS = {
+#: the single-run verbs: each builds one workload's program and System,
+#: attaches one instrument, simulates fresh, and prints or writes what
+#: the instrument measured
+_RUN_DESCRIPTIONS = {
     "trace": "Export a Chrome trace_event JSON for one run",
     "profile": "Print a per-unit cycle-attribution stall table for one run",
     "pipeview": "Export an instruction-grain pipeline trace (Konata / "
@@ -227,12 +215,30 @@ _OBS_DESCRIPTIONS = {
                 "MPKI, DRAM bandwidth, optionally power/energy) for one run",
     "phases": "Segment one run's sampled timeline into scalar / mode-switch "
               "/ vector-burst / drain phases",
+    "hostprof": "Attribute host wall-time of one run to per-component "
+                "unit groups: where does the simulator itself spend "
+                "time? (bigvlittle-hostprof-v1)",
+    "critpath": "Attribute every advance of simulated time in one run "
+                "to the unit group whose armed event gated it, plus the "
+                "wakeup-graph profile (bigvlittle-critpath-v1)",
+    "inspect": "Snapshot every unit's scheduling state — the "
+               "wait-for graph, cycles, and blocking frontier — at an "
+               "--at-ns horizon or at completion "
+               "(bigvlittle-forensics-v1; the same report every "
+               "DeadlockError carries as err.forensics)",
 }
 
 
-def _obs_parser(verb):
+def _json_flag(ap, what, instead="the table"):
+    ap.add_argument("--json", nargs="?", const="-", default=None,
+                    metavar="PATH",
+                    help=f"write {what} as JSON to PATH ('-' or no value: "
+                         f"stdout) instead of {instead}")
+
+
+def _run_parser(verb):
     ap = argparse.ArgumentParser(
-        prog=f"bigvlittle {verb}", description=_OBS_DESCRIPTIONS[verb])
+        prog=f"bigvlittle {verb}", description=_RUN_DESCRIPTIONS[verb])
     ap.add_argument("workload", help="workload name, e.g. saxpy, mmult, bfs")
     ap.add_argument("--system", default="1b-4VL",
                     help="system preset (default: 1b-4VL)")
@@ -245,10 +251,7 @@ def _obs_parser(verb):
     elif verb == "profile":
         ap.add_argument("--top", type=int, default=None, metavar="N",
                         help="only show the N most-stalled units")
-        ap.add_argument("--json", nargs="?", const="-", default=None,
-                        metavar="PATH",
-                        help="write the canonical run dump as JSON to PATH "
-                             "('-' or no value: stdout) instead of the table")
+        _json_flag(ap, "the canonical run dump")
     elif verb == "pipeview":
         ap.add_argument("--out", default="pipe.kanata", metavar="PATH",
                         help="output path (default: pipe.kanata)")
@@ -257,6 +260,24 @@ def _obs_parser(verb):
                              "'o3', else kanata)")
         ap.add_argument("--window", type=int, default=50_000,
                         help="retired-instruction window; older records drop")
+    elif verb == "hostprof":
+        ap.add_argument("--stride", type=int, default=1, metavar="N",
+                        help="time only every N-th dispatch per group "
+                             "(extrapolated; default: 1 = time everything)")
+        ap.add_argument("--top", type=int, default=None, metavar="N",
+                        help="only show the N largest groups")
+        _json_flag(ap, "the bigvlittle-hostprof-v1 report")
+    elif verb == "critpath":
+        ap.add_argument("--top", type=int, default=10, metavar="N",
+                        help="show at most N wakeup seams (default: 10)")
+        _json_flag(ap, "the bigvlittle-critpath-v1 report")
+    elif verb == "inspect":
+        ap.add_argument("--at-ns", type=int, default=None, metavar="N",
+                        help="stop the run at N simulated ns and snapshot "
+                             "there (default: run to completion and snapshot "
+                             "the end state)")
+        _json_flag(ap, "the bigvlittle-forensics-v1 report",
+                   instead="the text rendering")
     else:  # timeline / phases: both drive an IntervalSampler
         if verb == "timeline":
             ap.add_argument("--out", default="timeline.csv", metavar="PATH",
@@ -291,16 +312,35 @@ def _obs_parser(verb):
     return ap
 
 
-def _obs_main(verb, argv):
-    args = _obs_parser(verb).parse_args(argv)
+def _emit_json(path, doc, what):
+    """A ``--json`` document: to stdout for ``-``, else to ``path`` with
+    one ``wrote <what> to <path>`` line."""
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    if path == "-":
+        print(text)
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
+    print(f"wrote {what} to {path}")
 
+
+def _run_main(verb, argv):
+    args = _run_parser(verb).parse_args(argv)
+
+    import repro
+    from repro.errors import DeadlockError
     from repro.experiments.runner import _program_for
-    from repro.obs import IntervalSampler, Observation, PipeView
+    from repro.obs import (CritPath, HostScope, IntervalSampler, Observation,
+                           PipeView)
     from repro.soc import System, preset
     from repro.workloads import get_workload
 
     cfg = preset(args.system)
     program = _program_for(cfg, get_workload(args.workload, args.scale))
+    # one instrument per verb: an Observation (with the layer the verb
+    # reads), a HostScope, a CritPath, or, for inspect, only a horizon
+    obs = probe = None
+    run_kw = {}
     if verb == "trace":
         obs = Observation(max_events=args.max_events)
     elif verb == "pipeview":
@@ -309,20 +349,63 @@ def _obs_main(verb, argv):
         energy = (args.big, args.little) if args.energy else None
         obs = Observation(sampler=IntervalSampler(interval=args.interval,
                                                   energy=energy))
-    elif verb == "profile" and args.json is not None:
+    elif verb == "profile":
         # the canonical run dump folds in a phase report, so every profile
         # dump carries the phase structure alongside the flat stats
-        obs = Observation(sampler=IntervalSampler(interval=100))
-    else:
-        obs = Observation()
+        obs = Observation(sampler=None if args.json is None
+                          else IntervalSampler(interval=100))
+    elif verb == "hostprof":
+        probe = run_kw["hostscope"] = HostScope(stride=args.stride)
+    elif verb == "critpath":
+        probe = run_kw["critpath"] = CritPath()
+    elif args.at_ns is not None:
+        run_kw["max_ns"] = args.at_ns
     t0 = time.time()
-    result = System(cfg).run(program, obs=obs)
+    system = System(cfg)
+    try:
+        result = system.run(program, obs=obs, **run_kw)
+    except DeadlockError as e:
+        # inspect: the horizon (or a genuine deadlock) fired, and its
+        # attached report IS the requested snapshot
+        if verb != "inspect" or e.forensics is None:
+            raise
+        result, report = None, e.forensics
     wall = time.time() - t0
-    quiet_json = verb == "profile" and args.json == "-"
-    if not quiet_json:
+
+    if verb == "inspect":
+        from repro.obs.forensics import format_report, snapshot
+
+        if result is not None:
+            report = snapshot(system, result.stats["time_ps"],
+                              reason="completed")
+        if args.json is None:
+            print(format_report(report))
+        else:
+            _emit_json(args.json, report,
+                       f"forensics snapshot ({len(report['units'])} units, "
+                       f"{len(report['wait_for'])} wait edges)")
+        return 0
+    if probe is not None and args.json is not None:
+        doc = probe.report(meta={
+            "workload": args.workload,
+            "system": args.system,
+            "scale": args.scale,
+            "loop": "event",
+            "sim_version": repro.__version__,
+            "cycles": result.cycles,
+        })
+        detail = (f"coverage {doc['coverage'] * 100:.1f}%"
+                  if verb == "hostprof"
+                  else f"{doc['wakeup_edges']} wakeup edges")
+        _emit_json(args.json, doc,
+                   f"{verb} report ({len(doc['groups'])} groups, {detail})")
+        return 0
+    if not (verb == "profile" and args.json == "-"):
         print(f"== {args.workload}@{args.scale} on {args.system}: "
               f"{result.cycles} cycles (1 GHz), simulated in {wall:.1f}s ==")
-    if verb == "trace":
+    if probe is not None:
+        print(probe.format_table(top=args.top))
+    elif verb == "trace":
         n = obs.write_chrome_trace(args.out)
         note = f", {obs.tracer.dropped} dropped" if obs.tracer.dropped else ""
         print(f"wrote {n} events to {args.out}{note} "
@@ -373,205 +456,10 @@ def _obs_main(verb, argv):
             "scale": args.scale,
             "phases": detect_phases(obs.sampler).as_dict(),
         })
-        text = json.dumps(doc, indent=1, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as f:
-                f.write(text + "\n")
-            print(f"wrote run dump ({len(doc['stats'])} stats) to {args.json}")
+        _emit_json(args.json, doc, f"run dump ({len(doc['stats'])} stats)")
     else:
         print(obs.profile_table(top=args.top))
     return 0
-
-
-def _hostprof_parser():
-    ap = argparse.ArgumentParser(
-        prog="bigvlittle hostprof",
-        description="Attribute host wall-time of one run to per-component "
-                    "unit groups: where does the simulator itself spend "
-                    "time? (bigvlittle-hostprof-v1)")
-    ap.add_argument("workload", help="workload name, e.g. saxpy, mmult, bfs")
-    ap.add_argument("--system", default="1b-4VL",
-                    help="system preset (default: 1b-4VL)")
-    ap.add_argument("--scale", default="small",
-                    choices=("tiny", "small", "full"))
-    ap.add_argument("--stride", type=int, default=1, metavar="N",
-                    help="time only every N-th dispatch per group "
-                         "(extrapolated; default: 1 = time everything)")
-    ap.add_argument("--top", type=int, default=None, metavar="N",
-                    help="only show the N largest groups")
-    ap.add_argument("--json", nargs="?", const="-", default=None,
-                    metavar="PATH",
-                    help="write the bigvlittle-hostprof-v1 report as JSON to "
-                         "PATH ('-' or no value: stdout) instead of the table")
-    return ap
-
-
-def _hostprof_main(argv):
-    args = _hostprof_parser().parse_args(argv)
-
-    import repro
-    from repro.experiments.runner import _program_for
-    from repro.obs import HostScope
-    from repro.soc import System, preset
-    from repro.workloads import get_workload
-
-    # like the obs verbs, always simulate fresh: a hostscoped run's
-    # timings are host-machine facts, never cache material
-    cfg = preset(args.system)
-    program = _program_for(cfg, get_workload(args.workload, args.scale))
-    hs = HostScope(stride=args.stride)
-    t0 = time.time()
-    result = System(cfg).run(program, hostscope=hs)
-    wall = time.time() - t0
-    meta = {
-        "workload": args.workload,
-        "system": args.system,
-        "scale": args.scale,
-        "loop": "event",
-        "sim_version": repro.__version__,
-        "cycles": result.cycles,
-    }
-    if args.json is not None:
-        doc = hs.report(meta=meta)
-        if args.json == "-":
-            print(json.dumps(doc, indent=1, sort_keys=True))
-        else:
-            hs.write_json(args.json, meta=meta)
-            print(f"wrote hostprof report ({len(doc['groups'])} groups, "
-                  f"coverage {doc['coverage'] * 100:.1f}%) to {args.json}")
-        return 0
-    print(f"== {args.workload}@{args.scale} on {args.system}: "
-          f"{result.cycles} cycles (1 GHz), simulated in {wall:.1f}s ==")
-    print(hs.format_table(top=args.top))
-    return 0
-
-
-def _critpath_parser():
-    ap = argparse.ArgumentParser(
-        prog="bigvlittle critpath",
-        description="Attribute every advance of simulated time in one run "
-                    "to the unit group whose armed event gated it, plus the "
-                    "wakeup-graph profile (bigvlittle-critpath-v1)")
-    ap.add_argument("workload", help="workload name, e.g. saxpy, mmult, bfs")
-    ap.add_argument("--system", default="1b-4VL",
-                    help="system preset (default: 1b-4VL)")
-    ap.add_argument("--scale", default="small",
-                    choices=("tiny", "small", "full"))
-    ap.add_argument("--top", type=int, default=10, metavar="N",
-                    help="show at most N wakeup seams (default: 10)")
-    ap.add_argument("--json", nargs="?", const="-", default=None,
-                    metavar="PATH",
-                    help="write the bigvlittle-critpath-v1 report as JSON to "
-                         "PATH ('-' or no value: stdout) instead of the table")
-    return ap
-
-
-def _critpath_main(argv):
-    args = _critpath_parser().parse_args(argv)
-
-    import repro
-    from repro.experiments.runner import _program_for
-    from repro.obs import CritPath
-    from repro.soc import System, preset
-    from repro.workloads import get_workload
-
-    # always simulate fresh: like every obs verb, the attribution is a
-    # property of one live event-core schedule, never cache material
-    cfg = preset(args.system)
-    program = _program_for(cfg, get_workload(args.workload, args.scale))
-    cp = CritPath()
-    t0 = time.time()
-    result = System(cfg).run(program, critpath=cp)
-    wall = time.time() - t0
-    meta = {
-        "workload": args.workload,
-        "system": args.system,
-        "scale": args.scale,
-        "loop": "event",
-        "sim_version": repro.__version__,
-        "cycles": result.cycles,
-    }
-    if args.json is not None:
-        doc = cp.report(meta=meta)
-        if args.json == "-":
-            print(json.dumps(doc, indent=1, sort_keys=True))
-        else:
-            cp.write_json(args.json, meta=meta)
-            print(f"wrote critpath report ({len(doc['groups'])} groups, "
-                  f"{doc['wakeup_edges']} wakeup edges) to {args.json}")
-        return 0
-    print(f"== {args.workload}@{args.scale} on {args.system}: "
-          f"{result.cycles} cycles (1 GHz), simulated in {wall:.1f}s ==")
-    print(cp.format_table(top=args.top))
-    return 0
-
-
-def _inspect_parser():
-    ap = argparse.ArgumentParser(
-        prog="bigvlittle inspect",
-        description="Snapshot every unit's scheduling state — the "
-                    "wait-for graph, cycles, and blocking frontier — at an "
-                    "--at-ns horizon or at completion "
-                    "(bigvlittle-forensics-v1; the same report every "
-                    "DeadlockError carries as err.forensics)")
-    ap.add_argument("workload", help="workload name, e.g. saxpy, mmult, bfs")
-    ap.add_argument("--system", default="1b-4VL",
-                    help="system preset (default: 1b-4VL)")
-    ap.add_argument("--scale", default="small",
-                    choices=("tiny", "small", "full"))
-    ap.add_argument("--at-ns", type=int, default=None, metavar="N",
-                    help="stop the run at N simulated ns and snapshot there "
-                         "(default: run to completion and snapshot the end "
-                         "state)")
-    ap.add_argument("--json", nargs="?", const="-", default=None,
-                    metavar="PATH",
-                    help="write the bigvlittle-forensics-v1 report as JSON "
-                         "to PATH ('-' or no value: stdout) instead of the "
-                         "text rendering")
-    return ap
-
-
-def _inspect_main(argv):
-    args = _inspect_parser().parse_args(argv)
-
-    from repro.errors import DeadlockError
-    from repro.experiments.runner import _program_for
-    from repro.obs.forensics import format_report, snapshot, write_json
-    from repro.soc import System, preset
-    from repro.workloads import get_workload
-
-    cfg = preset(args.system)
-    program = _program_for(cfg, get_workload(args.workload, args.scale))
-    system = System(cfg)
-    run_kwargs = {} if args.at_ns is None else {"max_ns": args.at_ns}
-    try:
-        result = system.run(program, **run_kwargs)
-    except DeadlockError as e:
-        # the horizon (or a genuine deadlock) fired: its attached report
-        # IS the requested snapshot
-        report = e.forensics
-        if report is None:  # pragma: no cover - snapshot seam failed
-            raise
-    else:
-        report = snapshot(system, result.stats["time_ps"], reason="completed")
-    if args.json is not None:
-        if args.json == "-":
-            print(json.dumps(report, indent=1, sort_keys=True))
-        else:
-            write_json(report, args.json)
-            print(f"wrote forensics snapshot ({len(report['units'])} units, "
-                  f"{len(report['wait_for'])} wait edges) to {args.json}")
-        return 0
-    print(format_report(report))
-    return 0
-
-
-def _bench_history_main(argv):
-    from repro.experiments.benchhistory import main as bh_main
-
-    return bh_main(argv)
 
 
 def _diff_parser():
@@ -734,11 +622,26 @@ def _serve_main(argv):
     return 0
 
 
-#: every named verb `bigvlittle <verb> ...` dispatches on (the bare
-#: `bigvlittle <experiment>` form is the "" entry of the registry)
-NAMED_VERBS = ("cache", "serve", "trace", "profile", "pipeview", "timeline",
-               "phases", "hostprof", "critpath", "inspect", "bench-history",
-               "diff")
+#: verb -> (parser builder, main). `bigvlittle <verb> ...` dispatches on
+#: it; the "" entry is the bare `bigvlittle <experiment>` form
+_VERBS = {
+    "": (_experiments_parser, _experiments_main),
+    "cache": (_cache_parser, _cache_main),
+    "serve": (_serve_parser, _serve_main),
+    **{verb: (partial(_run_parser, verb), partial(_run_main, verb))
+       for verb in _RUN_DESCRIPTIONS},
+    "bench-history": (benchhistory.build_parser, benchhistory.main),
+    "diff": (_diff_parser, _diff_main),
+}
+
+#: every named verb `bigvlittle <verb> ...` dispatches on
+NAMED_VERBS = tuple(verb for verb in _VERBS if verb)
+
+
+def main(argv=None):
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in NAMED_VERBS else ""
+    return _VERBS[verb][1](argv[1:] if verb else argv)
 
 
 def cli_registry():
@@ -749,22 +652,7 @@ def cli_registry():
     here must appear in the docs.  The ``""`` entry is the positional
     experiment parser (``bigvlittle fig7 --jobs 4 ...``).
     """
-    from repro.experiments.benchhistory import build_parser as bh_parser
-
-    registry = {
-        "": _experiments_parser(),
-        "cache": _cache_parser(),
-        "serve": _serve_parser(),
-        "hostprof": _hostprof_parser(),
-        "critpath": _critpath_parser(),
-        "inspect": _inspect_parser(),
-        "bench-history": bh_parser(),
-        "diff": _diff_parser(),
-    }
-    for verb in _OBS_DESCRIPTIONS:
-        registry[verb] = _obs_parser(verb)
-    assert set(registry) - {""} == set(NAMED_VERBS)
-    return registry
+    return {verb: build() for verb, (build, _) in _VERBS.items()}
 
 
 def _jsonable(obj):

@@ -74,14 +74,16 @@ def run_pair(system_name, workload_name, scale="small", cfg=None, use_cache=True
     if cfg is None:
         cfg = preset(system_name, **cfg_overrides)
     cache = cache if cache is not None else get_cache()
-    key = cache.key_for(cfg, workload_name, scale)
+    tel = telemetry.current()
+    # the key is read only by the cache and by telemetry events
+    key = (cache.key_for(cfg, workload_name, scale)
+           if use_cache or tel is not None else None)
     if use_cache:
         hit = cache.get(key)
         if hit is not None:
             return hit
     workload = get_workload(workload_name, scale)
     program = _program_for(cfg, workload)
-    tel = telemetry.current()
     if tel is not None:
         tel.event("run_start", key=key, system=system_name,
                   workload=workload_name, scale=scale,

@@ -7,10 +7,6 @@ that
 * prefixes every line with a wall-clock timestamp, the level, and the
   logger name (the message text itself is untouched, so existing
   progress-line greps keep working);
-* optionally mirrors every record into a JSONL sink (one
-  ``{"ts", "level", "logger", "msg", ...fields}`` object per line), the
-  same shape the sweep-telemetry log uses, so harness progress and sweep
-  events can be machine-merged;
 * filters by level per logger, with a process-wide default.
 
 It is deliberately tiny — no handler trees, no propagation — because the
@@ -24,15 +20,10 @@ Usage::
 
     log = get_logger("repro.experiments.parallel")
     log.info("[3/8] 1b-4VL/saxpy@small simulated in 1.24s", wall_s=1.24)
-
-    # route all harness logs into a JSONL file as well
-    from repro.log import configure
-    configure(level="debug", jsonl_path="harness_log.jsonl")
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 
@@ -48,33 +39,14 @@ def _check_level(level):
 
 
 class StructuredLogger:
-    """One named logger: leveled text lines plus an optional JSONL sink."""
+    """One named logger: leveled text lines."""
 
-    __slots__ = ("name", "level", "stream", "jsonl_path", "_jsonl")
+    __slots__ = ("name", "level", "stream")
 
-    def __init__(self, name, level="info", stream=None, jsonl_path=None):
+    def __init__(self, name, level="info", stream=None):
         self.name = name
         self.level = _check_level(level)
         self.stream = stream  # None = sys.stderr at emit time (capturable)
-        self.jsonl_path = None
-        self._jsonl = None
-        if jsonl_path is not None:
-            self.set_jsonl(jsonl_path)
-
-    # ------------------------------------------------------------- sinks
-
-    def set_jsonl(self, path):
-        """Mirror every record into ``path`` (append mode); None disables."""
-        if self._jsonl is not None:
-            self._jsonl.close()
-            self._jsonl = None
-        self.jsonl_path = path
-        if path is not None:
-            self._jsonl = open(path, "a", encoding="utf-8")
-        return self
-
-    def close(self):
-        self.set_jsonl(None)
 
     # ------------------------------------------------------------ records
 
@@ -83,7 +55,7 @@ class StructuredLogger:
 
     def log(self, level, msg, **fields):
         """Emit one record at ``level``; extra fields become ``k=v`` text
-        suffixes and JSONL keys."""
+        suffixes."""
         if not self.enabled_for(level):
             return None
         ts = time.time()
@@ -93,13 +65,6 @@ class StructuredLogger:
         line = f"{stamp} {level.upper():<7} {self.name}: {msg}{suffix}"
         stream = self.stream if self.stream is not None else sys.stderr
         print(line, file=stream, flush=True)
-        if self._jsonl is not None:
-            rec = {"ts": round(ts, 6), "level": level, "logger": self.name,
-                   "msg": msg}
-            rec.update(fields)
-            self._jsonl.write(json.dumps(rec, sort_keys=True,
-                                         default=str) + "\n")
-            self._jsonl.flush()
         return line
 
     def debug(self, msg, **fields):
@@ -133,21 +98,17 @@ def get_logger(name="repro"):
     return logger
 
 
-def configure(level=None, jsonl_path=None, stream=None):
+def configure(level=None, stream=None):
     """Reconfigure every registered logger (and the default for new ones).
 
-    ``jsonl_path``/``stream`` apply to all currently registered loggers;
-    pass ``jsonl_path=None`` explicitly via :meth:`StructuredLogger.set_jsonl`
-    to detach a single logger's sink.
+    ``stream`` applies to all currently registered loggers.
     """
     global _default_level
     if level is not None:
         _default_level = _check_level(level)
         for logger in _loggers.values():
             logger.level = _default_level
-    for logger in _loggers.values():
-        if jsonl_path is not None:
-            logger.set_jsonl(jsonl_path)
-        if stream is not None:
+    if stream is not None:
+        for logger in _loggers.values():
             logger.stream = stream
     return sorted(_loggers)

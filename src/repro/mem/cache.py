@@ -243,12 +243,6 @@ class L1Cache:
     def probe(self, line):
         return self._state.get(line)
 
-    def flush_all(self):
-        """Drop every line (used only by tests; mode switches never flush)."""
-        self._state.clear()
-        self._dirty.clear()
-        self._lru.clear()
-
     @property
     def resident_lines(self):
         return len(self._state)

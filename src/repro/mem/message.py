@@ -39,11 +39,6 @@ class DelayQueue:
             return self._q.popleft()[1]
         return None
 
-    def peek_ready(self, now):
-        if self._q and self._q[0][0] <= now:
-            return self._q[0][1]
-        return None
-
     def next_time(self):
         """Ready time of the head entry, or None when empty. Pure — the
         quiescence-skipping scheduler uses it to bound skips by the next

@@ -86,9 +86,8 @@ class Observation:
     __slots__ = ("tracer", "metrics", "units", "pipeview", "sampler",
                  "_validated_ticks")
 
-    def __init__(self, max_events=1_000_000, pipeview=None, sampler=None,
-                 retain="tail"):
-        self.tracer = Tracer(max_events, retain=retain)
+    def __init__(self, max_events=1_000_000, pipeview=None, sampler=None):
+        self.tracer = Tracer(max_events)
         self.metrics = MetricsRegistry()
         self.units = {}  # name -> UnitObs
         self.pipeview = pipeview

@@ -17,10 +17,7 @@ Timestamps are simulated picoseconds; Kanata cycles are reported at the
 convention of :mod:`repro.obs.tracer`. Retired records live in a bounded
 ring (``window`` newest instructions); older records drop and are counted
 in ``dropped``, mirroring the Tracer's ring-buffer accounting, so tracking
-a long run can never exhaust host memory. ``retain="ends"`` freezes the
-first ``window // 2`` retirees and rings only the second half, keeping a
-long run's prologue *and* its steady state (the Tracer offers the same
-policy).
+a long run can never exhaust host memory.
 
 The layer is opt-in *on top of* the opt-in Observation: pass
 ``Observation(pipeview=PipeView())``. Every hook site in the simulator is
@@ -106,22 +103,15 @@ class PipeRecord:
 class PipeView:
     """Bounded per-instruction pipeline tracker with Konata/O3 export."""
 
-    __slots__ = ("window", "retain", "_live", "_head", "_head_cap", "_done",
-                 "_seq2rec", "_next_id", "dropped", "retired")
+    __slots__ = ("window", "_live", "_done", "_seq2rec", "_next_id",
+                 "dropped", "retired")
 
-    def __init__(self, window=50_000, retain="tail"):
+    def __init__(self, window=50_000):
         if window < 1:
             raise ConfigError("pipeview window must be >= 1")
-        if retain not in ("tail", "ends"):
-            raise ConfigError("pipeview retain must be 'tail' or 'ends'")
         self.window = window
-        self.retain = retain
         self._live = {}  # pvid -> PipeRecord still in flight
-        # "tail" rings the whole window; "ends" freezes the first half of
-        # the budget and rings only the second half
-        self._head_cap = window // 2 if retain == "ends" else 0
-        self._head = []
-        self._done = deque(maxlen=window - self._head_cap)
+        self._done = deque(maxlen=window)
         self._seq2rec = {}  # vector seq -> dispatching core's record
         self._next_id = 0
         self.dropped = 0
@@ -148,12 +138,9 @@ class PipeView:
         self._live.pop(rec.pvid, None)
         if rec.seq is not None:
             self._seq2rec.pop(rec.seq, None)
-        if len(self._head) < self._head_cap:
-            self._head.append(rec)
-        else:
-            if len(self._done) == self._done.maxlen:
-                self.dropped += 1
-            self._done.append(rec)
+        if len(self._done) == self.window:
+            self.dropped += 1
+        self._done.append(rec)
         self.retired += 1
 
     def seq_record(self, seq):
@@ -161,7 +148,7 @@ class PipeView:
         return self._seq2rec.get(seq)
 
     def __len__(self):
-        return len(self._head) + len(self._done) + len(self._live)
+        return len(self._done) + len(self._live)
 
     # ---------------------------------------------------------------- folding
 
@@ -178,7 +165,7 @@ class PipeView:
 
     def _export_records(self):
         """Retired + still-live records in start-time order."""
-        recs = self._head + list(self._done) + list(self._live.values())
+        recs = [*self._done, *self._live.values()]
         recs.sort(key=lambda r: (r.start, r.pvid))
         return recs
 

@@ -2,13 +2,10 @@
 
 Events are timestamped in simulated picoseconds and stored in a bounded
 ring buffer (oldest events are dropped once ``max_events`` is reached, so
-an instrumented run can never exhaust host memory).  ``retain="ends"``
-switches the drop policy to *keep first N/2 + last N/2*: the first half of
-the budget is frozen once filled and the ring only recycles the second
-half, so a long run keeps both its prologue (mode switches, cold misses)
-and its steady state.  Each component logs onto its own *track*; tracks
-are grouped into processes (``cores``, ``vector``, ``mem``) so Perfetto /
-``chrome://tracing`` renders one lane per component.
+an instrumented run can never exhaust host memory).  Each component logs
+onto its own *track*; tracks are grouped into processes (``cores``,
+``vector``, ``mem``) so Perfetto / ``chrome://tracing`` renders one lane
+per component.
 
 On export, timestamps are divided by 1000 (1 viewer microsecond == 1
 simulated nanosecond == one cycle at 1 GHz), which keeps the JSON integer
@@ -34,21 +31,13 @@ TS_DIVISOR = 1000
 class Tracer:
     """Bounded structured event log with per-component tracks."""
 
-    __slots__ = ("max_events", "retain", "events", "head", "_head_cap",
-                 "dropped", "_tracks", "_pids")
+    __slots__ = ("max_events", "events", "dropped", "_tracks", "_pids")
 
-    def __init__(self, max_events=1_000_000, retain="tail"):
+    def __init__(self, max_events=1_000_000):
         if max_events < 1:
             raise ValueError("max_events must be >= 1")
-        if retain not in ("tail", "ends"):
-            raise ValueError("retain must be 'tail' or 'ends'")
         self.max_events = max_events
-        self.retain = retain
-        # "tail" keeps the newest max_events; "ends" freezes the first half
-        # of the budget and rings only the second half
-        self._head_cap = max_events // 2 if retain == "ends" else 0
-        self.head = []
-        self.events = deque(maxlen=max_events - self._head_cap)
+        self.events = deque(maxlen=max_events)
         self.dropped = 0
         self._tracks = {}  # name -> (pid, tid)
         self._pids = {}  # process name -> pid
@@ -66,10 +55,7 @@ class Tracer:
     # ---------------------------------------------------------------- events
 
     def _push(self, ev):
-        if len(self.head) < self._head_cap:
-            self.head.append(ev)
-            return
-        if len(self.events) == self.events.maxlen:
+        if len(self.events) == self.max_events:
             self.dropped += 1
         self.events.append(ev)
 
@@ -91,7 +77,7 @@ class Tracer:
         self._push((_COUNTER, track, name, ts, 0, value))
 
     def __len__(self):
-        return len(self.head) + len(self.events)
+        return len(self.events)
 
     # ---------------------------------------------------------------- export
 
@@ -104,7 +90,7 @@ class Tracer:
         for name, (pid, tid) in self._tracks.items():
             out.append({"ph": "M", "pid": pid, "tid": tid,
                         "name": "thread_name", "args": {"name": name}})
-        for ph, track, name, ts, dur, payload in (*self.head, *self.events):
+        for ph, track, name, ts, dur, payload in self.events:
             pid, tid = self._tracks[track]
             ev = {"ph": ph, "pid": pid, "tid": tid, "name": name,
                   "ts": ts // TS_DIVISOR, "cat": "sim"}
@@ -125,7 +111,6 @@ class Tracer:
                 "time_unit": "1 trace us = 1 simulated ns (1 cycle at 1 GHz)",
                 "events": len(self),
                 "max_events": self.max_events,
-                "retain": self.retain,
                 "dropped_events": self.dropped,
             },
         }

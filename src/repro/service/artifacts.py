@@ -12,10 +12,13 @@ Two artifact classes exist, mirroring :mod:`repro.service.schemas`:
 * **derived** (``stats``, ``result``, ``summary``, ``stall.svg``) —
   pure functions of the cached :class:`RunResult`; generated on first
   ``GET`` (level ``generated``), persisted, and served from disk after.
-  The ``stats`` artifact is the canonical ``bigvlittle-run-v1`` dump,
-  rendered byte-identically to ``bigvlittle profile --json`` /
-  :func:`repro.obs.diff.dump_result` — so a client can diff a served
-  artifact against a local run with ``bigvlittle diff``.
+  The ``stats`` artifact is the canonical ``bigvlittle-run-v1`` dump
+  of the plain cached run: :func:`repro.obs.diff.dump_result` of it,
+  byte for byte, which is what ``tools/service_smoke.py`` compares it
+  with.  It is *not* ``bigvlittle profile --json`` of the same config:
+  that dump adds ``workload``, ``scale``, ``phases`` and the ``obs.*``
+  stats, and its sampler can move the six ``sim.ticks_*`` values.  Both
+  are inputs of ``bigvlittle diff``.
 * **simulated** (``timeline``, ``phases``) — require one instrumented
   simulation (an :class:`IntervalSampler` run).  Workers generate them
   when the submit body asks (``"artifacts": ["timeline", "phases"]``):
@@ -55,8 +58,8 @@ TIMELINE_INTERVAL = 100
 # ------------------------------------------------------------------ renderers
 
 def render_stats(result):
-    """Canonical run dump, byte-identical to ``bigvlittle profile --json``
-    serialization of the same result (deterministic: no host timing)."""
+    """Canonical run dump: ``dump_result`` of the plain run, serialized
+    deterministically (no host timing)."""
     doc = dump_result(result)
     return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ConfigError
 
@@ -102,8 +102,16 @@ class SoCConfig:
     # ------------------------------------------------------------ identity
 
     def to_dict(self):
-        """Plain-dict form of the *complete* configuration (``mem`` nested)."""
-        return asdict(self)
+        """Plain-dict form of the *complete* configuration (``mem`` nested).
+
+        Equal to ``dataclasses.asdict(self)``, built straight from the
+        fields: every value is an immutable scalar, so the recursive deep
+        copy ``asdict`` makes buys nothing, and this dict feeds every
+        result-cache key.
+        """
+        d = {name: getattr(self, name) for name in _SOC_FIELDS}
+        d["mem"] = {name: getattr(self.mem, name) for name in _MEM_FIELDS}
+        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -138,6 +146,10 @@ class SoCConfig:
 
     def scaled(self, **kw):
         return replace(self, **kw)
+
+
+_SOC_FIELDS = tuple(f.name for f in fields(SoCConfig))
+_MEM_FIELDS = tuple(f.name for f in fields(MemConfig))
 
 
 def preset(name, **overrides):

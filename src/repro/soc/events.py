@@ -438,11 +438,16 @@ def run_event_loop(system, max_ns):
             # clamp to the instants the dense loop must observe at their
             # original times. The fast path is one int compare against
             # the fused boundary bound; the grid math runs only when a
-            # boundary is actually in reach. (All are obs-independent
-            # except the sampler, whose boundary iterations only ever
-            # close slots as skipped — they can never force an
-            # execution, so attaching a sampler cannot perturb the
-            # executed/skipped split.)
+            # boundary is actually in reach. All are obs-independent
+            # except the sampler, and its boundary stops do perturb the
+            # executed/skipped split: at ``tiny`` with an interval-100
+            # sampler, all six ``sim.ticks_*`` stats move on 1b-4VL
+            # saxpy, backprop, jacobi2d and mmult, in both directions
+            # (saxpy's little domain executes 365 ticks instead of 359,
+            # jacobi2d's big domain 1673 instead of 1690), while every
+            # domain's executed + skipped total holds. On 1bDV jacobi2d
+            # it also moves two non-META stats (ROADMAP item 1). The
+            # cause is not established.
             if T >= bmin:
                 for x in (next_sample, wd_target, max_ps):
                     if T >= x:

@@ -26,7 +26,7 @@ Example
 from __future__ import annotations
 
 from repro.errors import TraceError
-from repro.isa.vector import VOp, VOP_CLASS, VClass
+from repro.isa.vector import VOp
 from repro.trace.instr import VInstr
 
 _ILEN = 4
@@ -336,12 +336,3 @@ class VectorBuilder:
         write on the big core, §III-B); the next vector instruction re-pays
         the mode-switch penalty."""
         self.tb.csrrw()
-
-
-def vinstr_class(ins):
-    """Convenience: VClass of a VInstr."""
-    return VOP_CLASS[ins.op]
-
-
-def is_fp_vop(ins):
-    return VOP_CLASS[ins.op] in (VClass.FP, VClass.FDIV)

@@ -23,6 +23,16 @@ def test_cache_returns_same_object():
     assert c.cycles == a.cycles  # deterministic simulation
 
 
+def test_uncached_run_computes_no_key(fresh_cache, monkeypatch):
+    # with the cache bypassed and telemetry off nothing reads the key,
+    # which is what every pool worker and the serial runner ask for
+    def no_key(*args, **kwargs):
+        raise AssertionError("key computed for an uncached run")
+
+    monkeypatch.setattr(fresh_cache, "key_for", no_key)
+    assert run_pair("1b", "vvadd", "tiny", use_cache=False).cycles > 0
+
+
 def test_cache_key_includes_frequencies():
     clear_cache()
     a = run_pair("1b", "vvadd", "tiny")

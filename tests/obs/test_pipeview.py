@@ -137,24 +137,12 @@ def test_bounded_window_counts_drops():
     assert parse_o3(pv.o3_lines()) == 4
 
 
-def test_retain_ends_keeps_first_and_last_retirees():
-    pv = PipeView(window=4, retain="ends")
+def test_window_keeps_newest_retirees():
+    pv = PipeView(window=4)
     for i in range(10):
         pv.retire(pv.begin("u0", f"i{i}", i * 1000), i * 1000 + 500)
-    assert pv.retired == 10
-    assert pv.dropped == 6
-    assert len(pv) == 4
     labels = [r.label for r in pv._export_records()]
-    # first half of the window frozen, ring recycles only the second half
-    assert labels == ["i0", "i1", "i8", "i9"]
-    opened, retired = parse_kanata(pv.kanata_lines())
-    assert len(opened) == len(retired) == 4
-    assert parse_o3(pv.o3_lines()) == 4
-
-
-def test_retain_rejects_unknown_policy():
-    with pytest.raises(ConfigError):
-        PipeView(retain="middle")
+    assert labels == ["i6", "i7", "i8", "i9"]  # oldest retirees dropped
 
 
 def test_seq_record_links_and_cleanup():

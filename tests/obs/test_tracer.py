@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.obs import Tracer
 
 VALID_PHASES = {"B", "E", "i", "X", "C", "M"}
@@ -42,24 +40,8 @@ def test_ring_buffer_bounds_and_counts_drops():
     assert doc["otherData"]["dropped_events"] == 15
 
 
-def test_retain_ends_keeps_prologue_and_steady_state():
-    t = Tracer(max_events=10, retain="ends")
-    tr = t.track("u")
-    for i in range(25):
-        t.instant(tr, f"e{i}", i * 1000)
-    assert len(t) == 10
-    assert t.dropped == 15
-    doc = t.chrome_trace()
-    names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "i"]
-    # first half of the budget frozen, ring recycles only the second half
-    assert names == [f"e{i}" for i in range(5)] + \
-                    [f"e{i}" for i in range(20, 25)]
-    assert doc["otherData"]["retain"] == "ends"
-    assert doc["otherData"]["dropped_events"] == 15
-
-
-def test_retain_ends_no_drops_below_budget():
-    t = Tracer(max_events=10, retain="ends")
+def test_no_drops_at_exact_budget():
+    t = Tracer(max_events=10)
     tr = t.track("u")
     for i in range(10):
         t.instant(tr, f"e{i}", i * 1000)
@@ -70,16 +52,10 @@ def test_retain_ends_no_drops_below_budget():
     assert names == [f"e{i}" for i in range(10)]  # nothing lost, in order
 
 
-def test_retain_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        Tracer(retain="middle")
-
-
-def test_observation_plumbs_retain_to_tracer():
+def test_observation_plumbs_max_events_to_tracer():
     from repro.obs import Observation
 
-    obs = Observation(max_events=10, retain="ends")
-    assert obs.tracer.retain == "ends"
+    obs = Observation(max_events=10)
     assert obs.tracer.max_events == 10
 
 

@@ -1,5 +1,7 @@
 """Unit tests for SoC configuration presets (paper Table III)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -54,3 +56,24 @@ def test_invalid_configs_rejected():
         SoCConfig(name="x", n_big=1, n_little=0, vector="vlittle")
     with pytest.raises(ConfigError):
         SoCConfig(name="x", vector="gpu")
+
+
+#: override sets the sweeps use: a Fig. 9 DVFS point, a memory override
+#: (the DRAM ablation), and the Fig. 7 chime / packing knobs
+TO_DICT_OVERRIDES = {
+    "preset": {},
+    "dvfs": {"freq_big": 1.4, "freq_little": 0.6},
+    "mem": {"mem": {"dram_latency": 400, "l2_banks": 8}},
+    "chimes-packed": {"chimes": 1, "packed": False},
+}
+
+
+@pytest.mark.parametrize("overrides", TO_DICT_OVERRIDES.values(),
+                         ids=TO_DICT_OVERRIDES)
+def test_to_dict_equals_asdict(overrides):
+    # to_dict is the result-cache key payload: it must stay the dict
+    # dataclasses.asdict builds, or every cached result's key moves
+    for name in SYSTEM_NAMES:
+        cfg = preset(name, **overrides)
+        assert cfg.to_dict() == dataclasses.asdict(cfg)
+        assert SoCConfig.from_dict(cfg.to_dict()) == cfg

@@ -136,6 +136,24 @@ def test_event_matches_dense_on_1bdv_registry_app(workload):
     _assert_loops_agree_on_registry_app("1bDV", workload)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an interval sampler moves big0.stall.* on 1bDV "
+                   "jacobi2d under the event core (ROADMAP item 1)")
+def test_sampler_leaves_stats_alone_on_1bdv_jacobi2d():
+    """An observer must not move a non-META stat. The interval-100
+    sampler that ``profile --json`` and every service ``timeline`` job
+    attach trades ``big0.stall.busy`` 528 -> 531 against
+    ``big0.stall.misc`` 1591 -> 1588 here."""
+    cfg = preset("1bDV")
+    program = _program_for(cfg, get_workload("jacobi2d", "tiny"))
+    plain = System(cfg).run(program)
+    obs = Observation(sampler=IntervalSampler(interval=100))
+    observed = System(cfg).run(program, obs=obs)
+    rest = {k: v for k, v in _split_stats(observed.stats)[1].items()
+            if not k.startswith("obs.")}
+    assert rest == _split_stats(plain.stats)[1]
+
+
 # Work-stealing registry programs: the task programs of data-parallel
 # apps on 1bIV-4L, and Ligra on 1b-4VL (engine bypassed) and 1b-4L. The
 # runtime splices overhead and task bodies into each worker's stream at

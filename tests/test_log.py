@@ -1,7 +1,6 @@
-"""Structured-logger tests: levels, text shape, JSONL sink, registry."""
+"""Structured-logger tests: levels, text shape, registry."""
 
 import io
-import json
 
 import pytest
 
@@ -33,19 +32,6 @@ def test_unknown_level_rejected():
         StructuredLogger("t", level="verbose")
     with pytest.raises(ValueError):
         StructuredLogger("t").log("loud", "msg")
-
-
-def test_jsonl_sink(tmp_path):
-    path = tmp_path / "log.jsonl"
-    log = StructuredLogger("t", stream=io.StringIO(), jsonl_path=str(path))
-    log.info("hello", n=3)
-    log.warning("uh oh")
-    log.close()
-    recs = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["msg"] for r in recs] == ["hello", "uh oh"]
-    assert recs[0]["level"] == "info" and recs[0]["n"] == 3
-    assert recs[1]["level"] == "warning"
-    assert all("ts" in r and r["logger"] == "t" for r in recs)
 
 
 def test_registry_and_configure():
