@@ -19,16 +19,14 @@ A corrupted or truncated cache file is treated as a miss: the harness warns,
 counts it (``stats()["corrupt"]``, shown by ``bigvlittle cache stats``), and
 re-simulates rather than crashing.
 
-The disk level can be **sharded** by config-hash prefix
-(``shards=N`` > 0): entries land in ``<cache_dir>/<key[:N]>/<key>.json``
-instead of one flat directory, so a long-lived service holding hundreds of
-thousands of results never pays a single giant ``listdir`` and the shard
-directories are natural units for multi-host distribution.  A sharded
-cache still *reads* flat legacy entries (written by ``shards=0`` harness
-runs against the same directory), so pointing the sweep service at an
-existing ``results/cache`` loses nothing.  ``prune(max_bytes)`` evicts
+Every entry is one flat file, ``<cache_dir>/<key>.json``, whichever
+program wrote it: a CLI sweep, the report, perfbench, or the sweep
+service (whose cache is ``<cache-root>/cache``), so every program that
+opens a directory reads every entry in it.  :meth:`ResultCache.path_for`
+is the only code that knows where a key lives, and every entry lands
+through :func:`write_atomic`.  ``prune(max_bytes)`` evicts
 least-recently-touched entries (by file mtime) until the disk level fits
-the budget — shard-aware, counted in ``stats()["pruned"]`` and exposed as
+the budget, counted in ``stats()["pruned"]`` and exposed as
 ``bigvlittle cache prune --max-bytes N``.
 
 When sweep telemetry is enabled (:mod:`repro.experiments.telemetry`), every
@@ -78,13 +76,36 @@ def default_cache_dir():
     return os.environ.get(_ENV_DIR, _DEFAULT_DIR)
 
 
+def write_atomic(path, data):
+    """Write the bytes ``data`` to ``path`` through a temp file and a rename.
+
+    Several processes may write one path at once (two sweeps, or a sweep
+    and the sweep service, storing the same key), so the temp file lives
+    in the target's own directory (same filesystem) and lands via an
+    atomic rename: a reader sees the old complete file or the new complete
+    file, never a torn one, and a failed write leaves no temp file behind.
+    """
+    target_dir = os.path.dirname(path)
+    os.makedirs(target_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Two-level (memory + disk) cache keyed by full-config content hash."""
 
-    def __init__(self, cache_dir=None, enabled=True, shards=0):
+    def __init__(self, cache_dir=None, enabled=True):
         self.cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         self.enabled = enabled
-        self.shards = int(shards)  # hex-prefix length; 0 = flat legacy layout
         self._mem = {}
         self.hits = 0          # served from memory or disk
         self.disk_hits = 0     # subset of hits that came off disk
@@ -106,27 +127,16 @@ class ResultCache:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def path_for(self, key):
-        """On-disk path for ``key`` under the cache's current layout."""
-        if self.shards:
-            return os.path.join(self.cache_dir, key[: self.shards],
-                                f"{key}.json")
-        return os.path.join(self.cache_dir, f"{key}.json")
-
-    def _flat_path(self, key):
+        """On-disk path for ``key``: ``<cache_dir>/<key>.json``."""
         return os.path.join(self.cache_dir, f"{key}.json")
 
     def _entry_paths(self):
-        """Every entry file on disk: the flat level plus one shard level."""
+        """Every entry file on disk."""
         if not os.path.isdir(self.cache_dir):
             return
-        for fn in sorted(os.listdir(self.cache_dir)):
-            p = os.path.join(self.cache_dir, fn)
+        for fn in os.listdir(self.cache_dir):
             if fn.endswith(".json"):
-                yield p
-            elif os.path.isdir(p):
-                for sub in sorted(os.listdir(p)):
-                    if sub.endswith(".json"):
-                        yield os.path.join(p, sub)
+                yield os.path.join(self.cache_dir, fn)
 
     # ---------------------------------------------------------------- lookup
 
@@ -144,9 +154,6 @@ class ResultCache:
                           load_wall_s=0.0)
             return self._mem[key]
         path = self.path_for(key)
-        if self.shards and not os.path.exists(path):
-            # a sharded cache still reads flat legacy entries in place
-            path = self._flat_path(key)
         if os.path.exists(path):
             t0 = time.perf_counter()
             try:
@@ -180,48 +187,23 @@ class ResultCache:
         if not self.enabled:
             return
         self._mem[key] = result
-        target = self.path_for(key)
-        target_dir = os.path.dirname(target)
-        os.makedirs(target_dir, exist_ok=True)
         record = {"sim_version": SIM_VERSION, "result": result.to_dict()}
-        # atomic write: parallel workers may race on the same key, so the
-        # temp file lives in the *target* directory (same filesystem) and
-        # lands via an atomic rename — a reader sees the old complete
-        # file or the new complete file, never a torn one
-        fd, tmp = tempfile.mkstemp(dir=target_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(record, f)
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path_for(key), json.dumps(record).encode("utf-8"))
 
     # ------------------------------------------------------------- lifecycle
 
     def clear(self):
         """Empty both levels: the process dict and the on-disk files
-        (flat entries, shard directories, and stray temp files alike)."""
+        (entries and stray temp files alike)."""
         self._mem.clear()
         if not os.path.isdir(self.cache_dir):
             return
         for fn in os.listdir(self.cache_dir):
-            p = os.path.join(self.cache_dir, fn)
-            if fn.endswith(".json") or fn.endswith(".tmp"):
+            if fn.endswith((".json", ".tmp")):
                 try:
-                    os.unlink(p)
+                    os.unlink(os.path.join(self.cache_dir, fn))
                 except OSError:
                     pass
-            elif os.path.isdir(p):
-                for sub in os.listdir(p):
-                    if sub.endswith(".json") or sub.endswith(".tmp"):
-                        try:
-                            os.unlink(os.path.join(p, sub))
-                        except OSError:
-                            pass
 
     def prune(self, max_bytes):
         """Evict least-recently-touched disk entries until the disk level
@@ -229,10 +211,9 @@ class ResultCache:
 
         LRU is approximated by file mtime (a disk hit does not rewrite the
         file, so this is least-recently-*written*; a service whose hot keys
-        re-land via ``put`` keeps them fresh).  Shard-aware: entries are
-        collected across the flat level and every shard directory.  Evicted
-        keys are dropped from the memory level too, so a pruned entry is
-        really gone.  Returns ``{"removed", "bytes_freed", "disk_bytes"}``.
+        re-land via ``put`` keeps them fresh).  Evicted keys are dropped
+        from the memory level too, so a pruned entry is really gone.
+        Returns ``{"removed", "bytes_freed", "disk_bytes"}``.
         """
         entries = []
         total = 0
@@ -263,21 +244,15 @@ class ResultCache:
 
     def stats(self):
         disk_entries = disk_bytes = 0
-        shard_dirs = set()
         for p in self._entry_paths():
             disk_entries += 1
             try:
                 disk_bytes += os.path.getsize(p)
             except OSError:
                 pass
-            parent = os.path.dirname(p)
-            if parent != self.cache_dir.rstrip(os.sep):
-                shard_dirs.add(parent)
         return {
             "dir": self.cache_dir,
             "enabled": self.enabled,
-            "shards": self.shards,
-            "shard_dirs": len(shard_dirs),
             "memory_entries": len(self._mem),
             "disk_entries": disk_entries,
             "disk_bytes": disk_bytes,

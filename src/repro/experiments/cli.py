@@ -9,12 +9,12 @@ invocation resumes instead of re-simulating.  ``bigvlittle all --jobs N``
 is therefore one resumable, parallel full-paper reproduction.
 
 Cache maintenance: ``bigvlittle cache stats`` / ``bigvlittle cache clear``
-/ ``bigvlittle cache prune --max-bytes N`` (LRU by file mtime, across all
-shards).
+/ ``bigvlittle cache prune --max-bytes N`` (LRU by file mtime).
 
 Sweep service: ``bigvlittle serve [--port P] [--workers N]
-[--cache-root DIR]`` runs the async job queue + sharded cache + HTTP
-results API documented in ``docs/service.md``.
+[--cache-root DIR]`` runs the async job queue + result cache + HTTP
+results API documented in ``docs/service.md``; its cache is
+``DIR/cache``, at the default root the CLI's default ``results/cache``.
 
 Observability (see ``docs/observability.md``):
 
@@ -525,8 +525,7 @@ def _cache_parser():
     ap.add_argument("action", choices=("stats", "clear", "prune"))
     ap.add_argument("--max-bytes", type=int, default=None, metavar="N",
                     help="prune: evict least-recently-used entries (by file "
-                         "mtime, across all shards) until the cache holds at "
-                         "most N bytes")
+                         "mtime) until the cache holds at most N bytes")
     return ap
 
 
@@ -557,7 +556,7 @@ def _serve_parser():
     ap = argparse.ArgumentParser(
         prog="bigvlittle serve",
         description="Run the sweep service: an async job queue and worker "
-                    "pool over the sharded result cache, fronted by the "
+                    "pool over the result cache, fronted by the "
                     "bigvlittle-service-v1 HTTP/JSON API "
                     "(see docs/service.md)")
     ap.add_argument("--host", default="127.0.0.1",
@@ -571,9 +570,6 @@ def _serve_parser():
                     help="service state root: cache/, artifacts/, and the "
                          "service/jobs.jsonl journal live under it "
                          "(default: results)")
-    ap.add_argument("--shards", type=int, default=2, metavar="N",
-                    help="hex-prefix length sharding cache and artifact "
-                         "dirs (default: 2 = 256-way)")
     ap.add_argument("--batch", type=int, default=4, metavar="N",
                     help="max queued jobs one worker claims per sweep "
                          "(default: 4)")
@@ -595,8 +591,7 @@ def _serve_main(argv):
 
     app = ServiceApp(cache_root=args.cache_root, host=args.host,
                      port=args.port, workers=args.workers,
-                     shards=args.shards, batch=args.batch,
-                     max_retries=args.max_retries,
+                     batch=args.batch, max_retries=args.max_retries,
                      telemetry_path=args.telemetry)
     app.start()
     print(f"sweep service on http://{args.host}:{app.port} "

@@ -39,8 +39,6 @@ instant to the watchdog/horizon raise is charged to the pseudo-group
 
 from __future__ import annotations
 
-import json
-
 SCHEMA = "bigvlittle-critpath-v1"
 
 #: canonical group order for reports (zero-time groups are elided);
@@ -189,13 +187,6 @@ class CritPath:
         }
         if meta:
             doc["meta"] = dict(meta)
-        return doc
-
-    def write_json(self, path, meta=None):
-        doc = self.report(meta=meta)
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
         return doc
 
     def format_table(self, top=None):

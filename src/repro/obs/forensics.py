@@ -34,8 +34,6 @@ Graph semantics:
 
 from __future__ import annotations
 
-import json
-
 from repro.obs.host import unit_group
 from repro.vector import DecoupledVectorEngine, VLittleEngine
 
@@ -173,13 +171,6 @@ def snapshot(system, t_ps, reason=""):
         "cycles": cycles,
         "blocking_frontier": frontier,
     }
-
-
-def write_json(report, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
-        f.write("\n")
-    return report
 
 
 def format_report(report):

@@ -42,7 +42,6 @@ group with the largest host share is what to batch next.
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.errors import ConfigError
@@ -329,13 +328,6 @@ class HostScope:
         }
         if meta:
             doc["meta"] = dict(meta)
-        return doc
-
-    def write_json(self, path, meta=None):
-        doc = self.report(meta=meta)
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
         return doc
 
     def format_table(self, top=None):

@@ -175,18 +175,9 @@ class PipeView:
         end = rec.end if rec.end is not None else last_stage_ts
         return max(end, last_stage_ts, rec.start)
 
-    def kanata_lines(self, lane=None):
-        """The trace as Kanata log lines (Konata's native format).
-
-        With ``lane`` (a :func:`lane_of` group name) only that unit
-        group's records are exported — one self-contained log per lane,
-        each with its own ``Kanata`` header. Cross-lane dependency
-        edges are dropped with the records they point at; within-lane
-        edges survive.
-        """
+    def kanata_lines(self):
+        """The trace as Kanata log lines (Konata's native format)."""
         recs = self._export_records()
-        if lane is not None:
-            recs = [r for r in recs if lane_of(r.unit) == lane]
         fid = {r.pvid: i for i, r in enumerate(recs)}
         events = []  # (cycle, emit order, text)
         n = 0
@@ -245,10 +236,6 @@ class PipeView:
             lines.append(f"O3PipeView:retire:{end}:store:0")
         return lines
 
-    def lanes(self):
-        """Sorted lane-group names with at least one record."""
-        return sorted({lane_of(r.unit) for r in self._export_records()})
-
     def write_kanata(self, path):
         """Write the Kanata log to ``path``; returns the record count."""
         lines = self.kanata_lines()
@@ -257,25 +244,6 @@ class PipeView:
             f.write("\n")
         return len(self)
 
-    def write_kanata_lanes(self, prefix):
-        """Write one Kanata log per unit-group lane.
-
-        Konata renders one flat id space per file, so a combined log
-        interleaves big-core ROB entries with VCU µops and VMU line
-        requests; splitting by :func:`lane_of` group gives one viewer
-        tab per machine layer. Files are named
-        ``<prefix>.<lane>.kanata``; returns ``{lane: path}`` for the
-        non-empty lanes.
-        """
-        out = {}
-        for lane in self.lanes():
-            path = f"{prefix}.{lane}.kanata"
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("\n".join(self.kanata_lines(lane=lane)))
-                f.write("\n")
-            out[lane] = path
-        return out
-
     def write_o3pipeview(self, path):
         """Write gem5 O3PipeView lines to ``path``; returns the record count."""
         with open(path, "w", encoding="utf-8") as f:
@@ -283,18 +251,6 @@ class PipeView:
                 f.write(line)
                 f.write("\n")
         return len(self)
-
-
-def lane_of(unit):
-    """Konata lane group for a hook-site unit name: core pipelines
-    (big ROBs and little in-order pipes), engine µops (VCU / DVE
-    command streams, lane executes, VXU ring ops), or memory-side line
-    requests (the VMU's VMIU/VMSU traffic)."""
-    if unit.startswith(("big", "lit")):
-        return "cores"
-    if unit == "vmu":
-        return "mem"
-    return "engine"
 
 
 def _clean(text, o3=False):

@@ -1,4 +1,4 @@
-"""Sweep service: async job queue + sharded result cache + HTTP results API.
+"""Sweep service: async job queue + result cache + HTTP results API.
 
 The layers, bottom up (each importable on its own):
 
@@ -7,7 +7,7 @@ The layers, bottom up (each importable on its own):
   cache-level vocabularies.
 * :mod:`repro.service.jobs` — journaled, telemetry-reconciled
   :class:`JobQueue` with in-flight dedup and crash recovery.
-* :mod:`repro.service.artifacts` — sharded :class:`ArtifactStore`;
+* :mod:`repro.service.artifacts` — per-key :class:`ArtifactStore`;
   derived artifacts render from the cache, simulation-backed ones are
   worker-generated.
 * :mod:`repro.service.workers` — :class:`WorkerPool` threads batching

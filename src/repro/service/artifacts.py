@@ -1,11 +1,11 @@
 """Content-addressed artifact store for the sweep service.
 
 Artifacts are files derived from one cached run, stored under
-``<root>/<shard>/<key>/<filename>`` — the same config-hash sharding the
-result cache uses, so an operator can co-locate or split the two stores
-shard by shard.  Because the key pins the full canonical config, the
-workload, and the simulator version, an artifact never goes stale: once
-written it is served as raw bytes forever (level ``artifact``).
+``<root>/<key>/<filename>``, keyed by the same config hash as the result
+cache entry ``<cache_dir>/<key>.json`` they derive from.  Because the key
+pins the full canonical config, the workload, and the simulator version,
+an artifact never goes stale: once written it is served as raw bytes
+forever (level ``artifact``).
 
 Two artifact classes exist, mirroring :mod:`repro.service.schemas`:
 
@@ -28,16 +28,17 @@ Two artifact classes exist, mirroring :mod:`repro.service.schemas`:
   simulated artifact is a 404 with a hint, keeping the serving hot path
   pure cache.
 
-Every file lands through :meth:`ArtifactStore.put_bytes` (temp file +
-rename), so a reader sees a whole artifact or none.
+Every file lands through :meth:`ArtifactStore.put_bytes`, which writes
+with the result cache's :func:`~repro.experiments.cache.write_atomic`
+(temp file + rename), so a reader sees a whole artifact or none.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
+from repro.experiments.cache import write_atomic
 from repro.obs.diff import dump_result
 from repro.service.schemas import SERVICE_SCHEMA, SIMULATED_ARTIFACTS
 
@@ -149,17 +150,15 @@ def render_timeline(run_spec):
 
 
 class ArtifactStore:
-    """Sharded per-key artifact files with atomic writes."""
+    """Per-key artifact files with atomic writes."""
 
-    def __init__(self, root, shards=2):
+    def __init__(self, root):
         self.root = root
-        self.shards = int(shards)
         self.generated = 0   # artifacts rendered this process
         self.served = 0      # artifact files served from disk
 
     def dir_for(self, key):
-        if self.shards:
-            return os.path.join(self.root, key[: self.shards], key)
+        """Directory of ``key``'s artifacts: ``<root>/<key>/``."""
         return os.path.join(self.root, key)
 
     def path_for(self, key, name):
@@ -182,19 +181,7 @@ class ArtifactStore:
     def put_bytes(self, key, name, data):
         """Persist one artifact atomically (temp + rename, like the cache)."""
         target = self.path_for(key, name)
-        target_dir = os.path.dirname(target)
-        os.makedirs(target_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(target, data)
         return target
 
     def ensure_derived(self, key, name, result):

@@ -1,7 +1,8 @@
 """stdlib HTTP/JSON front end for the sweep service.
 
-One :class:`ServiceApp` owns the whole stack: a sharded
-:class:`ResultCache`, an :class:`ArtifactStore`, a journaled
+One :class:`ServiceApp` owns the whole stack: a :class:`ResultCache`
+under ``<cache_root>/cache``, an :class:`ArtifactStore` under
+``<cache_root>/artifacts``, a journaled
 :class:`JobQueue` (replayed from disk on start), a :class:`WorkerPool`,
 and a ``ThreadingHTTPServer`` whose handler delegates every route back
 into the app (so tests can drive :meth:`handle_get` /
@@ -89,13 +90,11 @@ class ServiceApp:
     """The sweep service: cache + artifacts + queue + workers + HTTP."""
 
     def __init__(self, cache_root="results", host="127.0.0.1", port=0,
-                 workers=2, shards=2, batch=4, max_retries=2,
-                 backoff_s=0.1, telemetry_path=None):
+                 workers=2, batch=4, max_retries=2, backoff_s=0.1,
+                 telemetry_path=None):
         self.cache_root = cache_root
-        self.cache = ResultCache(cache_dir=os.path.join(cache_root, "cache"),
-                                 shards=shards)
-        self.artifacts = ArtifactStore(os.path.join(cache_root, "artifacts"),
-                                       shards=shards)
+        self.cache = ResultCache(cache_dir=os.path.join(cache_root, "cache"))
+        self.artifacts = ArtifactStore(os.path.join(cache_root, "artifacts"))
         self.telemetry_path = telemetry_path
         if telemetry_path:
             telemetry.enable(telemetry_path)

@@ -1,5 +1,6 @@
-"""Sharded-cache behavior: layout, legacy fallback, pruning, and the
-concurrency contract (atomic writes — readers never see torn files)."""
+"""The result cache's disk level: one flat layout shared by every writer,
+pruning, corruption, and the concurrency contract (atomic writes —
+readers never see torn files)."""
 
 import json
 import multiprocessing
@@ -29,40 +30,29 @@ def _keys(cache, n):
 
 # ------------------------------------------------------------------ layout
 
-def test_sharded_put_lands_in_prefix_dir(tmp_path):
-    cache = ResultCache(cache_dir=str(tmp_path), shards=2)
-    [key] = _keys(cache, 1)
-    cache.put(key, _result())
-    expect = tmp_path / key[:2] / f"{key}.json"
-    assert expect.exists()
-    assert cache.path_for(key) == str(expect)
-    # flat root holds only shard dirs, no entry files
-    assert not list(tmp_path.glob("*.json"))
+def test_cli_cache_reads_entries_the_service_wrote(tmp_path):
+    """The sweep service's cache and a CLI cache on the same directory
+    are one cache: an entry the service stored is a disk hit for the
+    CLI."""
+    from repro.service import ServiceApp
+
+    app = ServiceApp(cache_root=str(tmp_path), port=0, workers=1)
+    try:
+        [key] = _keys(app.cache, 1)
+        app.cache.put(key, _result())
+    finally:  # never started: release the socket and the journal
+        app.queue.close()
+        app.httpd.server_close()
+    assert (tmp_path / "cache" / f"{key}.json").is_file()
+    cli_cache = ResultCache(cache_dir=str(tmp_path / "cache"))
+    hit = cli_cache.get(key)
+    assert hit is not None and hit.stats == _result().stats
+    assert cli_cache.disk_hits == 1
+    assert cli_cache.stats()["disk_entries"] == 1
 
 
-def test_sharded_cache_reads_flat_legacy_entries(tmp_path):
-    flat = ResultCache(cache_dir=str(tmp_path), shards=0)
-    [key] = _keys(flat, 1)
-    flat.put(key, _result())
-    sharded = ResultCache(cache_dir=str(tmp_path), shards=2)
-    hit = sharded.get(key)
-    assert hit is not None and hit.cycles == _result().cycles
-    assert sharded.stats()["disk_entries"] == 1
-
-
-def test_stats_reports_shards_and_shard_dirs(tmp_path):
-    cache = ResultCache(cache_dir=str(tmp_path), shards=2)
-    for i, key in enumerate(_keys(cache, 3)):
-        cache.put(key, _result(i))
-    st = cache.stats()
-    assert st["shards"] == 2
-    assert st["disk_entries"] == 3
-    assert 1 <= st["shard_dirs"] <= 3
-    assert st["pruned"] == 0
-
-
-def test_clear_empties_shard_dirs_too(tmp_path):
-    cache = ResultCache(cache_dir=str(tmp_path), shards=2)
+def test_clear_empties_the_disk_level(tmp_path):
+    cache = ResultCache(cache_dir=str(tmp_path))
     for i, key in enumerate(_keys(cache, 3)):
         cache.put(key, _result(i))
     cache.clear()
@@ -72,7 +62,7 @@ def test_clear_empties_shard_dirs_too(tmp_path):
 # ------------------------------------------------------------------- prune
 
 def test_prune_evicts_lru_by_mtime(tmp_path):
-    cache = ResultCache(cache_dir=str(tmp_path), shards=2)
+    cache = ResultCache(cache_dir=str(tmp_path))
     keys = _keys(cache, 3)
     for i, key in enumerate(keys):
         cache.put(key, _result(i))
@@ -91,7 +81,7 @@ def test_prune_evicts_lru_by_mtime(tmp_path):
 
 
 def test_prune_is_noop_under_limit(tmp_path):
-    cache = ResultCache(cache_dir=str(tmp_path), shards=2)
+    cache = ResultCache(cache_dir=str(tmp_path))
     [key] = _keys(cache, 1)
     cache.put(key, _result())
     out = cache.prune(max_bytes=10 * 1024 * 1024)
@@ -118,13 +108,13 @@ def test_cli_cache_prune_requires_max_bytes(fresh_cache, capsys):
 
 # ------------------------------------------------------------- corruption
 
-def test_corrupt_shard_entry_is_one_counted_miss(tmp_path):
-    cache = ResultCache(cache_dir=str(tmp_path), shards=2)
+def test_corrupt_entry_is_one_counted_miss(tmp_path):
+    cache = ResultCache(cache_dir=str(tmp_path))
     [key] = _keys(cache, 1)
     cache.put(key, _result())
     with open(cache.path_for(key), "w") as f:
         f.write("{torn")
-    fresh = ResultCache(cache_dir=str(tmp_path), shards=2)
+    fresh = ResultCache(cache_dir=str(tmp_path))
     with pytest.warns(RuntimeWarning, match="corrupted result-cache file"):
         assert fresh.get(key) is None
     st = fresh.stats()
@@ -133,8 +123,8 @@ def test_corrupt_shard_entry_is_one_counted_miss(tmp_path):
 
 # ------------------------------------------------------------ concurrency
 
-def _hammer_writer(cache_dir, shards, key, result_dict, n_iters):
-    cache = ResultCache(cache_dir=cache_dir, shards=shards)
+def _hammer_writer(cache_dir, key, result_dict, n_iters):
+    cache = ResultCache(cache_dir=cache_dir)
     result = RunResult.from_dict(result_dict)
     for _ in range(n_iters):
         cache.put(key, result)
@@ -145,13 +135,13 @@ def test_two_processes_racing_same_key_never_torn(tmp_path):
     every read must see a complete entry (atomic temp+rename), never a
     partial file, and never a corruption warning."""
     cache_dir = str(tmp_path)
-    cache = ResultCache(cache_dir=cache_dir, shards=2)
+    cache = ResultCache(cache_dir=cache_dir)
     [key] = _keys(cache, 1)
     result = _result()
     cache.put(key, result)
 
     writers = [multiprocessing.Process(
-        target=_hammer_writer, args=(cache_dir, 2, key, result.to_dict(), 200))
+        target=_hammer_writer, args=(cache_dir, key, result.to_dict(), 200))
         for _ in range(2)]
     for w in writers:
         w.start()
@@ -159,7 +149,7 @@ def test_two_processes_racing_same_key_never_torn(tmp_path):
         reads = 0
         while any(w.is_alive() for w in writers):
             # a fresh instance per read: no memory level, disk every time
-            reader = ResultCache(cache_dir=cache_dir, shards=2)
+            reader = ResultCache(cache_dir=cache_dir)
             hit = reader.get(key)  # corrupt would raise RuntimeWarning
             assert hit is not None and hit.stats == result.stats
             assert reader.stats()["corrupt"] == 0
@@ -170,23 +160,22 @@ def test_two_processes_racing_same_key_never_torn(tmp_path):
     assert all(w.exitcode == 0 for w in writers)
     assert reads > 0
     # and no stray temp files survive the stampede
-    leftovers = [p for p in (tmp_path / key[:2]).iterdir()
-                 if p.name.endswith(".tmp")]
+    leftovers = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
 
 
 def test_concurrent_distinct_keys_all_land(tmp_path):
     cache_dir = str(tmp_path)
-    cache = ResultCache(cache_dir=cache_dir, shards=1)
+    cache = ResultCache(cache_dir=cache_dir)
     keys = _keys(cache, 4)
     result = _result()
     procs = [multiprocessing.Process(
-        target=_hammer_writer, args=(cache_dir, 1, key, result.to_dict(), 50))
+        target=_hammer_writer, args=(cache_dir, key, result.to_dict(), 50))
         for key in keys]
     for p in procs:
         p.start()
     for p in procs:
         p.join()
     assert all(p.exitcode == 0 for p in procs)
-    st = ResultCache(cache_dir=cache_dir, shards=1).stats()
+    st = ResultCache(cache_dir=cache_dir).stats()
     assert st["disk_entries"] == len(keys)

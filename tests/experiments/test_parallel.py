@@ -1,6 +1,8 @@
 """Parallel-runner tests: warm-cache short-circuit, dedup, summaries, and
 one lookup, one store and one simulation per sweep point."""
 
+import os
+
 import pytest
 
 from repro.experiments import configure, figures, set_cache, telemetry
@@ -91,17 +93,35 @@ def test_disabled_cache_keeps_workers_cacheless(fresh_cache):
     assert fresh_cache.stats()["memory_entries"] == 0
 
 
-def test_pooled_results_land_once_in_the_cache_layout(tmp_path):
-    """The parent is the only cache writer: pool workers must not store
-    results themselves, in their own (flat) layout, next to the parent's
-    sharded copies."""
-    from repro.experiments.cache import ResultCache
+def test_pooled_results_land_once_in_the_cache_layout(tmp_path,
+                                                      monkeypatch):
+    """The parent is the only cache writer: pool workers simulate and
+    return their results, and never store one themselves.  Every cache
+    write and every simulation appends its pid to a log; the pool's
+    forked workers inherit both patches, so the simulations' pids show
+    that the log sees the pool."""
+    from repro.soc.system import System
 
-    cache = ResultCache(cache_dir=str(tmp_path / "cache"), shards=2)
+    log = tmp_path / "pids.log"
+
+    def logged(kind, real):
+        def wrapper(self, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{kind} {os.getpid()}\n")
+            return real(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ResultCache, "put", logged("put", ResultCache.put))
+    monkeypatch.setattr(System, "run", logged("run", System.run))
+    cache = ResultCache(cache_dir=str(tmp_path / "cache"))
     ParallelRunner(jobs=2, cache=cache).run(
         [RunRequest("1b", "vvadd", "tiny"), RunRequest("1L", "vvadd", "tiny")])
+    events = [line.split() for line in log.read_text().splitlines()]
+    runs = [int(pid) for kind, pid in events if kind == "run"]
+    puts = [int(pid) for kind, pid in events if kind == "put"]
+    assert len(runs) == 2 and os.getpid() not in runs
+    assert puts == [os.getpid()] * 2
     assert cache.stats()["disk_entries"] == 2
-    assert not list((tmp_path / "cache").glob("*.json"))
 
 
 def test_progress_lines_emitted(fresh_cache, capsys):

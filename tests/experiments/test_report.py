@@ -1,6 +1,7 @@
 """Tests for the EXPERIMENTS.md report generator."""
 
 import json
+import pathlib
 
 from repro.experiments import report
 
@@ -86,3 +87,14 @@ def test_main_writes_file(tmp_path):
     out = tmp_path / "EXP.md"
     assert report.main(["--from-json", str(src), "--out", str(out)]) == 0
     assert out.read_text().startswith("# EXPERIMENTS")
+
+
+def test_committed_experiments_md_is_the_render_of_the_committed_run(tmp_path):
+    """EXPERIMENTS.md is exactly what the report renders from
+    ``results/fullrun-small.json``: regenerating it drops no hand edit."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    out = tmp_path / "EXPERIMENTS.md"
+    assert report.main(["--from-json",
+                        str(root / "results" / "fullrun-small.json"),
+                        "--out", str(out)]) == 0
+    assert out.read_bytes() == (root / "EXPERIMENTS.md").read_bytes()

@@ -83,13 +83,12 @@ def test_critpath_requires_event_loop():
         _run(critpath=CritPath(), skip=False)
 
 
-def test_report_json_roundtrip(tmp_path):
+def test_report_json_roundtrip():
     cp = CritPath()
     _run(critpath=cp)
-    out = tmp_path / "critpath.json"
-    doc = cp.write_json(out, meta={"workload": "saxpy"})
-    loaded = json.loads(out.read_text())
-    assert loaded == json.loads(json.dumps(doc))  # JSON-safe
+    doc = cp.report(meta={"workload": "saxpy"})
+    loaded = json.loads(json.dumps(doc, indent=1, sort_keys=True))
+    assert loaded == doc  # JSON-safe
     assert loaded["schema"] == SCHEMA
     assert loaded["tiles"] is True
     assert loaded["meta"]["workload"] == "saxpy"

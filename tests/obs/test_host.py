@@ -98,13 +98,12 @@ def test_bad_stride_rejected():
         HostScope(stride=1.5)
 
 
-def test_report_json_roundtrip(tmp_path):
+def test_report_json_roundtrip():
     hs = HostScope()
     _run(hostscope=hs)
-    out = tmp_path / "hostprof.json"
-    doc = hs.write_json(out, meta={"workload": "saxpy"})
-    loaded = json.loads(out.read_text())
-    assert loaded == json.loads(json.dumps(doc))  # JSON-safe
+    doc = hs.report(meta={"workload": "saxpy"})
+    loaded = json.loads(json.dumps(doc, indent=1, sort_keys=True))
+    assert loaded == doc  # JSON-safe
     assert loaded["meta"]["workload"] == "saxpy"
     assert loaded["schema"] == SCHEMA
 

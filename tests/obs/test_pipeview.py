@@ -237,28 +237,3 @@ def test_little_scalar_records():
     obs = Observation(pipeview=PipeView())
     _run("1L", "bfs", obs=obs)  # one little core running scalar code
     assert any(r.unit.startswith("lit") for r in obs.pipeview._done)
-
-
-def test_kanata_lane_split(pipeview_run, tmp_path):
-    """One self-contained Kanata log per unit group — big/little core
-    pipelines, engine µops, VMU line traffic — each carrying its own
-    header and parsing standalone, with no record lost or duplicated
-    across the lane files."""
-    obs, _ = pipeview_run
-    pv = obs.pipeview
-    from repro.obs.pipeview import lane_of
-    assert pv.lanes() == ["cores", "engine", "mem"]
-    lanes = pv.write_kanata_lanes(str(tmp_path / "saxpy"))
-    assert set(lanes) == {"cores", "engine", "mem"}
-    by_lane = {}
-    for lane, path in lanes.items():
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        opened, retired = parse_kanata(lines)  # asserts the 0004 header
-        by_lane[lane] = len(opened)
-    assert by_lane["cores"] and by_lane["engine"] and by_lane["mem"]
-    assert sum(by_lane.values()) == len(pv)
-    # the lane partition matches the per-record grouping
-    recs = pv._export_records()
-    for lane in by_lane:
-        assert by_lane[lane] == sum(1 for r in recs if lane_of(r.unit) == lane)

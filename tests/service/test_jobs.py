@@ -22,7 +22,7 @@ RUN = {"system": "1b", "workload": "vvadd", "scale": "tiny",
 
 
 def make_queue(tmp_path, journal=False):
-    cache = ResultCache(cache_dir=str(tmp_path / "cache"), shards=2)
+    cache = ResultCache(cache_dir=str(tmp_path / "cache"))
     path = str(tmp_path / "jobs.jsonl") if journal else None
     return JobQueue(cache, journal_path=path)
 
@@ -313,7 +313,7 @@ def test_artifact_generation_rides_on_worker(tmp_path, run_spy):
     from repro.service.artifacts import ArtifactStore
 
     q = make_queue(tmp_path)
-    store = ArtifactStore(str(tmp_path / "artifacts"), shards=2)
+    store = ArtifactStore(str(tmp_path / "artifacts"))
     pool = WorkerPool(q, workers=1, artifact_store=store,
                       backoff_s=0.001).start()
     job, _ = q.submit([dict(RUN)], artifacts=("timeline", "phases"))
@@ -336,7 +336,7 @@ def test_simulated_artifacts_are_written_whole(tmp_path, monkeypatch):
     from repro.service.artifacts import ArtifactStore, simulate_timeline
 
     q = make_queue(tmp_path)
-    store = ArtifactStore(str(tmp_path / "artifacts"), shards=2)
+    store = ArtifactStore(str(tmp_path / "artifacts"))
     written = {}
     put_bytes = store.put_bytes
 

@@ -10,6 +10,9 @@ What CI runs (and what an operator can run locally to vet a deploy):
 4. fetch the ``stats`` artifact twice — first ``generated``, then
    ``artifact`` — and byte-compare it against a direct in-process
    ``run_pair`` dump (the no-simulation-drift guarantee);
+   require the flat on-disk layout under the service root:
+   ``results/cache/<key>.json`` and ``results/artifacts/<key>/stats.json``
+   exist, and no two-character prefix directory was made;
 5. byte-compare the served ``timeline`` against a direct in-process
    ``simulate_timeline(...).to_json`` dump, and require ``phases``;
 6. fetch ``stats`` ``WARM_GETS`` more times and require a median under
@@ -202,6 +205,22 @@ def main():
                         "run_pair dump", proc)
         print(f"service_smoke: stats artifact byte-identical to direct run "
               f"({len(served)} bytes)")
+
+        state = os.path.join(root, "results")
+        missing = [p for p in (os.path.join(state, "cache", f"{key}.json"),
+                               os.path.join(state, "artifacts", key,
+                                            "stats.json"))
+                   if not os.path.isfile(p)]
+        prefix_dirs = [os.path.join(tree, d)
+                       for tree in ("cache", "artifacts")
+                       for d in os.listdir(os.path.join(state, tree))
+                       if len(d) == 2
+                       and os.path.isdir(os.path.join(state, tree, d))]
+        if missing or prefix_dirs:
+            return fail(f"state root is not in the flat layout: missing "
+                        f"{missing}, prefix directories {prefix_dirs}", proc)
+        print("service_smoke: cache entry and stats artifact in the flat "
+              "layout")
 
         from repro.service.artifacts import simulate_timeline
 
