@@ -269,10 +269,13 @@ class BigCore:
                 waits.append(("engine",
                               "mode-switch CSRRW awaiting engine drain"))
         src = self.source
-        if (not self._rob and src is not None and not src.done()
-                and src.pure_peek and src.peek() is None):
-            waits.append(("source",
-                          "instruction source empty but reports not-done"))
+        if not self._rob and src is not None and not src.done():
+            if src.parked:
+                waits.extend(src.waits_on())
+            elif src.pure_peek and src.peek() is None:
+                waits.append(("source",
+                              "instruction source empty but reports "
+                              "not-done"))
         return {
             "rob": len(self._rob),
             "rob_size": self.rob_size,
@@ -382,8 +385,9 @@ class BigCore:
             else:
                 src = self.source
                 if not src.pure_peek:
-                    if not src.done():
-                        return 0  # impure peek may claim work: probe on grid
+                    if not src.done() and not src.parked:
+                        return 0  # impure peek may claim work: probe on
+                        # grid, unless parked until its wake hook fires
                 elif src.peek() is not None:
                     return 0  # front end would fetch next tick
         return bound

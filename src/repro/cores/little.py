@@ -157,10 +157,13 @@ class LittleCore:
                     break
         src = self.source
         if (self.active and head is None and src is not None
-                and not src.done() and src.pure_peek
-                and src.peek() is None):
-            waits.append(("source",
-                          "instruction source empty but reports not-done"))
+                and not src.done()):
+            if src.parked:
+                waits.extend(src.waits_on())
+            elif src.pure_peek and src.peek() is None:
+                waits.append(("source",
+                              "instruction source empty but reports "
+                              "not-done"))
         return {
             "active": self.active,
             "issue_head": Op(head.op).name if head is not None else None,
@@ -188,7 +191,9 @@ class LittleCore:
             if src is None or src.done():
                 return _INF  # idle tail; skip_ticks charges the MISC stall
             if not src.pure_peek:
-                return 0  # impure peek may claim work: probe on grid
+                # impure peek may claim work: probe on grid, unless the
+                # source is parked until its owner's wake hook fires
+                return _INF if src.parked else 0
             if src.peek() is not None:
                 return 0  # would fetch into the issue stage next tick
             return _INF

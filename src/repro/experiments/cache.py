@@ -186,9 +186,12 @@ class ResultCache:
     def put(self, key, result):
         if not self.enabled:
             return
-        self._mem[key] = result
         record = {"sim_version": SIM_VERSION, "result": result.to_dict()}
         write_atomic(self.path_for(key), json.dumps(record).encode("utf-8"))
+        # only a landed write fills the memory level: a put that raised
+        # (ENOSPC, EACCES) must leave the key a miss, not a hit for the
+        # caller's retry with nothing on disk behind it
+        self._mem[key] = result
 
     # ------------------------------------------------------------- lifecycle
 

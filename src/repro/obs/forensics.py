@@ -22,7 +22,9 @@ Graph semantics:
 * a unit's ``waits_on`` edges name what its *own* state says it is
   blocked on: ``mem`` (fills/lines in flight), the engine
   (``vcu``/``dve``: undrained dispatch, pending scalar response, a
-  mode-switch drain), or the external ``source`` node (an instruction
+  mode-switch drain), the cores that can unpark a parked work-stealing
+  worker (``big0`` while its serial body runs, the workers not yet at
+  the barrier), or the external ``source`` node (an instruction
   source that is exhausted but reports not-done — the classic wedged
   workload);
 * ``cycles`` lists every dependency cycle among the units (a true

@@ -45,14 +45,25 @@ _PARALLEL = 1
 class _Worker(InstrSource):
     """One worker's instruction stream: the flat list of the work it
     claimed last (runtime overhead spliced with a task body) and a
-    cursor into it."""
+    cursor into it.
 
-    # peek() may claim the next task (or barrier slice) from the shared
-    # scheduler, so probing it off the exact tick grid would reorder
-    # task-steal races; the skip scheduler must never peek a worker.
+    ``peek()`` may claim the next task (or barrier slice) from the
+    shared scheduler, so it is impure (``pure_peek = False``): probing
+    it off the exact tick grid would reorder task-steal races. A worker
+    whose last claim came back empty is *parked*: it waits for worker 0
+    to finish a serial body, for the other workers to reach the
+    barrier, or the run is over. While parked, another peek returns
+    ``None`` with no side effect (a barrier arrival is idempotent, and
+    only worker 0 gets work in a serial stage), so its core may sleep
+    instead of re-peeking. Only a scheduler transition ends that; the
+    runtime then clears ``parked`` and fires ``core._ev_notify``, the
+    wake hook of the core ``System.load`` paired this worker with.
+    """
+
     pure_peek = False
 
-    __slots__ = ("sched", "idx", "vector_capable", "_stream", "_pos")
+    __slots__ = ("sched", "idx", "vector_capable", "_stream", "_pos",
+                 "parked", "core")
 
     def __init__(self, sched, idx, vector_capable):
         self.sched = sched
@@ -60,6 +71,8 @@ class _Worker(InstrSource):
         self.vector_capable = vector_capable
         self._stream = ()
         self._pos = 0
+        self.parked = False
+        self.core = None  # wake target: the core that pulls this stream
 
     def peek(self):
         stream = self._stream
@@ -67,6 +80,7 @@ class _Worker(InstrSource):
         while pos >= len(stream):
             stream = self.sched._next_work(self)
             if stream is None:
+                self.parked = True
                 return None
             self._stream = stream
             self._pos = pos = 0
@@ -79,6 +93,19 @@ class _Worker(InstrSource):
 
     def done(self):
         return self.sched.finished and self._pos >= len(self._stream)
+
+    def waits_on(self):
+        """``(core id, why)`` for each worker that can unpark this one:
+        worker 0 during a serial stage, else the workers not yet at the
+        barrier (none once the run is finished)."""
+        sched = self.sched
+        if sched.finished:
+            return []
+        if sched._stage == _SERIAL:
+            return [(sched.workers[0].core.core_id,
+                     "parked worker: serial body running")]
+        return [(w.core.core_id, "parked worker: barrier arrival pending")
+                for w in sched.workers if w.idx not in sched._arrived]
 
 
 class WorkStealingRuntime:
@@ -164,6 +191,7 @@ class WorkStealingRuntime:
                     return body + self._overhead(spawn_cost, 1)
                 return body
             # serial body fully consumed by worker 0 -> open the task bag
+            self._unpark()
             if self._tasks:
                 self._stage = _PARALLEL
             else:
@@ -183,10 +211,25 @@ class WorkStealingRuntime:
         # barrier
         self._arrived.add(worker.idx)
         if len(self._arrived) == self.n_workers:
+            self._unpark()
             self._phase += 1
             self._enter_phase()
             return self._overhead(self.barrier_overhead, 10 + worker.idx)
         return None
+
+    def _unpark(self):
+        """The scheduler is about to move (a serial body consumed, the
+        last barrier arrival, possibly the end of the run): wake every
+        parked worker's core, so its next peek runs at exactly the tick
+        the dense loop's would, then clear the flag."""
+        for w in self.workers:
+            if w.parked:
+                core = w.core
+                if core is not None:
+                    n = core._ev_notify
+                    if n is not None:
+                        n()
+                w.parked = False
 
     def _overhead(self, n, tag):
         key = (n, tag)

@@ -126,13 +126,16 @@ class ServiceApp:
 
     def stop(self, drain=True):
         """Graceful shutdown: close the queue (new submits 503), drain the
-        workers, then stop the HTTP loop."""
+        workers, then stop the HTTP loop, if it ever started, and release
+        the socket."""
         self.pool.stop(drain=drain)
-        self.httpd.shutdown()
-        self.httpd.server_close()
         if self._http_thread is not None:
+            # shutdown() waits for serve_forever to exit, so it would
+            # block forever on an app that was never started
+            self.httpd.shutdown()
             self._http_thread.join()
             self._http_thread = None
+        self.httpd.server_close()
         if self.telemetry_path:
             telemetry.disable()
 

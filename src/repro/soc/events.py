@@ -37,7 +37,9 @@ Determinism rules (docs/performance.md has the full wakeup graph):
    Asynchronous inputs do this through ``_ev_notify`` hooks planted at
    the component seams: ``L2Cache.request`` (the single entry point
    into the memory side), the L1 fill waiters of both core types and
-   the VMU, and ``dispatch``/``end_region`` on both engines.
+   the VMU, ``dispatch``/``end_region`` on both engines, and the
+   work-stealing runtime's scheduler transitions, which wake the cores
+   of parked workers.
 3. **Re-arm on wakeup.** The same hooks invalidate the sleeping unit's
    cached bound, so it re-probes before it is next scheduled. The one
    dependency with no push seam — a big core armed on the engine's
@@ -70,12 +72,22 @@ set, because the bound selection knows nothing of in-flight wakeups.
 
 Work-stealing programs (``pure_peek=False`` sources) couple every core
 through the shared task queues. Their safety comes from the probes, not
-from a special mode: a core whose worker source is not done vetoes
-skipping whenever its front end could peek (and thereby claim a task or
-arrive at a barrier) on the next tick, so every claim happens at
-exactly the dense loop's instant; a worker blocked on its *own* timers
-(a full ROB behind a miss, a fetch gap, a drained source) sleeps like
-any other unit.
+from a special mode: a core whose worker could claim a task or arrive
+at a barrier on its next peek vetoes skipping whenever its front end
+could peek on the next tick, so every claim happens at exactly the
+dense loop's instant; a worker blocked on its *own* timers (a full ROB
+behind a miss, a fetch gap, a drained source) sleeps like any other
+unit. A worker whose
+last claim came back empty is *parked* (waiting on worker 0's serial
+body or on the barrier): until the scheduler moves, its peeks return
+``None`` with no side effect, so its core sleeps like one on an empty
+pure source, and ``skip_ticks`` replays the MISC charge the dense
+loop's empty peeks make. The runtime fires the parked cores' hooks at
+each transition (a task bag opening, the last barrier arrival, the end
+of the run); the settle-then-re-probe path above then runs a woken core
+later in ground order at the same instant and re-arms an earlier one at
+its next slot, exactly where the dense loop's peek first sees the new
+scheduler state.
 """
 
 from __future__ import annotations

@@ -176,6 +176,7 @@ class System:
         self.runtime = WorkStealingRuntime(program, len(workers), vector_capable=caps)
         for w, worker_src in zip(workers, self.runtime.workers):
             w.set_source(worker_src)
+            worker_src.core = w  # a scheduler transition wakes w
 
     def _attach_obs(self, obs):
         """Fan an Observation out to every component that can report."""

@@ -18,15 +18,24 @@ class InstrSource:
     the source will never produce again.
 
     ``pure_peek`` declares whether ``peek()`` is free of observable side
-    effects. The quiescence-skipping scheduler only probes sources whose
-    peeks are pure; an impure source (e.g. a work-stealing worker whose
-    peek may claim a task) vetoes skipping so the claim happens on the
-    exact tick it would have without skipping.
+    effects. The event core only probes sources whose peeks are pure; an
+    impure source (e.g. a work-stealing worker whose peek may claim a
+    task) vetoes skipping so the claim happens on the exact tick it
+    would have without skipping.
+
+    ``parked`` lets an impure source lift that veto: while it is True,
+    ``peek()`` is guaranteed to return ``None`` with no side effect, so
+    the core sleeps like one on an empty pure source. Whatever ends the
+    guarantee must first fire the core's ``_ev_notify`` wake hook and
+    then clear the flag. A source that can park also provides
+    ``waits_on()``: the ``(unit, why)`` pairs whose progress can end
+    it, which forensics reports.
     """
 
     __slots__ = ()
 
     pure_peek = False
+    parked = False
 
     def peek(self):
         raise NotImplementedError

@@ -40,9 +40,8 @@ def test_cli_cache_reads_entries_the_service_wrote(tmp_path):
     try:
         [key] = _keys(app.cache, 1)
         app.cache.put(key, _result())
-    finally:  # never started: release the socket and the journal
-        app.queue.close()
-        app.httpd.server_close()
+    finally:  # never started: stop() still releases socket and journal
+        app.stop()
     assert (tmp_path / "cache" / f"{key}.json").is_file()
     cli_cache = ResultCache(cache_dir=str(tmp_path / "cache"))
     hit = cli_cache.get(key)

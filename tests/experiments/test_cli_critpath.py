@@ -9,6 +9,8 @@ exactly; ``inspect`` renders / writes the same
 
 import json
 
+import pytest
+
 from repro.experiments.cli import main
 
 CP_ARGS = ["critpath", "saxpy", "--scale", "tiny"]
@@ -84,4 +86,30 @@ def test_inspect_json_stdout(fresh_cache, capsys):
     doc = json.loads(text[text.index("{"):])
     assert doc["reason"] == "completed"
     assert doc["blocking_frontier"] == []
+    _cache_untouched(fresh_cache)
+
+
+@pytest.mark.parametrize("at_ns,why", [
+    (1001, "parked worker: serial body running"),
+    (2001, "parked worker: barrier arrival pending"),
+], ids=["serial-stage", "barrier"])
+def test_inspect_blames_the_working_core_not_parked_workers(
+        tmp_path, fresh_cache, at_ns, why):
+    """bfs at ``tiny`` on 1b-4VL runs under the work-stealing runtime
+    with one task per phase, which big0 claims. Mid serial stage and mid
+    barrier wait alike, every little's worker is parked on big0, so each
+    names big0 as what it waits on and the blocking frontier is the
+    working core alone, not the idle ones."""
+    out = tmp_path / "forensics.json"
+    assert main(["inspect", "bfs", "--system", "1b-4VL", "--scale", "tiny",
+                 "--at-ns", str(at_ns), "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["reason"] == "horizon"
+    assert doc["blocking_frontier"] == ["big0"]
+    littles = [u for u in doc["units"] if u["unit"].startswith("lit")]
+    assert len(littles) == 4
+    for u in littles:
+        assert u["state"] == "asleep" and not u["done"]
+        assert u["waits_on"] == [{"on": "big0", "why": why}]
+    assert doc["cycles"] == []
     _cache_untouched(fresh_cache)

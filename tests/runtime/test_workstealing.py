@@ -172,3 +172,61 @@ def test_overhead_runs_are_built_once_per_runtime():
     for key, run in a._overheads.items():
         assert a._overhead(*key) is run
         assert b._overheads[key] is not run
+
+
+class _Core:
+    """Stands in for the core a worker feeds: counts wake-hook calls."""
+
+    def __init__(self):
+        self.wakes = 0
+        self._ev_notify = self._wake
+
+    def _wake(self):
+        self.wakes += 1
+
+
+def _sched_state(rt):
+    return (rt._phase, rt._stage, sorted(rt._arrived), len(rt._tasks),
+            rt._serial_given, rt.finished, rt.tasks_executed, rt.steals,
+            rt._rng.state)
+
+
+def test_parked_workers_wake_exactly_at_scheduler_transitions():
+    """A worker whose claim came back empty is parked; re-peeking it
+    changes no scheduler state, and only a transition (a serial body
+    consumed, the last barrier arrival, the end of the run) clears the
+    flag, firing each parked worker's core hook exactly once."""
+    prog = mk_program(n_tasks=3, phases=3)
+    prog.phases.insert(1, Phase([], serial=mk_trace(4, "serial-only")))
+    rt = WorkStealingRuntime(prog, n_workers=4)
+    cores = [_Core() for _ in rt.workers]
+    for w, core in zip(rt.workers, cores):
+        w.core = core
+    transitions = 0
+    for _ in range(10_000):
+        if rt.finished and all(w.done() for w in rt.workers):
+            break
+        for w in rt.workers:
+            if w.parked:
+                state = _sched_state(rt)
+                assert w.peek() is None
+                assert _sched_state(rt) == state
+                continue
+            was_parked = [x.parked for x in rt.workers]
+            wakes = [core.wakes for core in cores]
+            stage = (rt._phase, rt._stage, rt.finished)
+            if w.peek() is None:
+                assert w.parked
+            else:
+                w.pop()
+            moved = (rt._phase, rt._stage, rt.finished) != stage
+            transitions += moved
+            for x, core, was, n in zip(rt.workers, cores, was_parked, wakes):
+                assert core.wakes == n + (was and moved)
+                if was and moved:
+                    assert not x.parked
+    else:
+        raise AssertionError("runtime never finished")
+    assert rt.tasks_executed == 9
+    assert transitions == 7  # 3 bags opened, 1 serial-only, 3 barriers
+    assert all(core.wakes for core in cores[1:])

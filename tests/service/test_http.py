@@ -2,6 +2,7 @@
 (warm GETs never simulate), dedup, validation, graceful drain, and
 kept-alive connections (no reply stall, bounded job polls)."""
 
+import errno
 import http.client
 import importlib.util
 import json
@@ -433,8 +434,7 @@ def test_journal_survives_restart(tmp_path):
     # enqueue without workers running, then shut down without draining
     job, _ = app.queue.submit([{"system": "1b", "workload": "vvadd",
                                 "scale": "tiny", "overrides": {}}])
-    app.queue.close()
-    app.httpd.server_close()
+    app.stop(drain=False)
 
     app2 = ServiceApp(cache_root=root, port=0, workers=1).start()
     try:
@@ -448,6 +448,56 @@ def test_journal_survives_restart(tmp_path):
         assert app2.queue.get(job.id).state == "done"
     finally:
         app2.stop(drain=True)
+
+
+def test_stop_returns_for_an_app_that_was_never_started(tmp_path):
+    """stop() on an app whose HTTP loop never ran must return, not wait
+    forever for a serve_forever that will never exit."""
+    from repro.service import ServiceApp
+
+    app = ServiceApp(cache_root=str(tmp_path / "svc"), port=0, workers=1)
+    stopper = threading.Thread(target=app.stop, daemon=True)
+    stopper.start()
+    stopper.join(5)
+    assert not stopper.is_alive(), "stop() hung on a never-started app"
+    assert app.httpd.socket.fileno() == -1  # the socket is released
+
+
+# ------------------------------------------------------------- disk faults
+
+@pytest.mark.parametrize("err", [errno.ENOSPC, errno.EACCES],
+                         ids=["ENOSPC", "EACCES"])
+def test_failed_cache_write_fails_the_job_and_caches_nothing(
+        service_app, monkeypatch, err):
+    """A result whose cache write fails is not cached, not even in
+    memory: every retry simulates again and hits the same fault, so the
+    job ends exactly once, as failed after max_retries, with nothing
+    under the cache dir and the key a 404."""
+    cache_dir = os.path.abspath(service_app.cache.cache_dir)
+    replace = os.replace
+
+    def failing_replace(src, dst, *args, **kwargs):
+        if os.path.dirname(os.path.abspath(dst)) == cache_dir:
+            raise OSError(err, os.strerror(err), dst)
+        return replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    job = submit_and_wait(service_app, dict(RUN))
+    assert job["state"] == "failed"
+    assert os.strerror(err) in job["error"]
+    counters = service_app.queue.counters
+    assert (counters["done"], counters["failed"]) == (0, 1)
+    assert counters["retried"] == service_app.pool.max_retries
+    journal = os.path.join(service_app.cache_root, "service", "jobs.jsonl")
+    with open(journal) as f:
+        ends = [json.loads(line)["ev"] for line in f]
+    ends = [ev for ev in ends if ev in ("job_done", "job_failed")]
+    assert ends == ["job_failed"]
+    assert not [fn for fn in os.listdir(cache_dir)
+                if fn.endswith((".json", ".tmp"))]
+    status, headers, _ = req(service_app, "GET",
+                             f"/v1/results/{job['keys'][0]}")
+    assert status == 404 and headers["X-BigVLittle-Cache"] == "miss"
 
 
 # ------------------------------------------------------------ server process

@@ -35,10 +35,11 @@ from repro.experiments.runner import _program_for
 from repro.obs.diff import diff_stats, dump_result
 from repro.soc import System, preset
 from repro.soc.config import MemConfig
+from repro.trace import Phase, Task, TaskProgram, TraceBuilder
 from repro.vector.vlittle import VLittleEngine
 from repro.workloads import get_workload
 
-from tests.soc.test_system import (alu_trace, task_program, vec_trace)
+from tests.soc.test_system import alu_trace, vec_trace
 
 DOMAINS = ("big", "little", "mem")
 TICK_KEYS = tuple(f"sim.ticks_{d}" for d in DOMAINS) + \
@@ -70,6 +71,41 @@ class Case:
         self.program = program
 
 
+def task_phases(rng):
+    """A random multi-phase work-stealing program: 2-4 phases, serial
+    prologues on most, one serial-only phase (an empty task bag) and,
+    from three phases up, one phase with neither, so every scheduler
+    transition that wakes parked workers runs: a task bag opening, a
+    serial stage handing straight to the next phase, the last barrier
+    arrival, an empty phase skipped, and the end of the run."""
+    n = rng.randint(2, 4)
+    shapes = ["tasks"] * n
+    order = rng.sample(range(n), n)
+    shapes[order[0]] = "serial-only"
+    if n >= 3:
+        shapes[order[1]] = "empty"
+    phases = []
+    tid = 0
+    for k, shape in enumerate(shapes):
+        serial = None
+        if shape == "serial-only" or (shape == "tasks"
+                                      and rng.random() < 0.75):
+            serial = alu_trace(rng.choice((5, 10, 20)), f"prologue{k}")
+        tasks = []
+        if shape == "tasks":
+            for _ in range(rng.randint(1, 6)):
+                tb = TraceBuilder()
+                base = 0x400000 + tid * 0x1000
+                with tb.loop(rng.choice((10, 30, 60)), overhead=False) as loop:
+                    for i in loop:
+                        r = tb.lw(base + 4 * i)
+                        tb.addi(r)
+                tasks.append(Task(tid, {"scalar": tb.finish(f"t{tid}")}))
+                tid += 1
+        phases.append(Phase(tasks, serial=serial))
+    return TaskProgram(phases, name="tp")
+
+
 def make_case(seed):
     """Deterministically derive a randomized case from ``seed``."""
     rng = random.Random(0xB16_B1E55 + seed)
@@ -99,7 +135,7 @@ def make_case(seed):
         program = (vec_trace(vlen, n=rng.choice((32, 64)))
                    if vlen else alu_trace(250))
     elif kind == "task":
-        program = task_program(n_tasks=rng.choice((3, 5)), body=30)
+        program = task_phases(rng)
     else:
         workload = get_workload(kind, "small", **_SYNTH[kind])
         program = _program_for(cfg, workload)
@@ -150,11 +186,13 @@ def check_case(case, arm="dense"):
         assert sr == se, (
             f"{case.ident}: {d} tick total {sr} ({names[0]}) != "
             f"{se} ({names[1]})")
-    # (Work-stealing programs may skip too: a worker whose impure source
+    # (Work-stealing programs skip too. A worker whose impure source
     # could claim work on the next tick vetoes its own skip, so every
-    # task-steal race resolves at exactly the dense loop's instant —
-    # the bit-identical diff above is the proof. Only the META split
-    # differs between the arms.)
+    # task-steal race resolves at exactly the dense loop's instant; a
+    # parked worker's core sleeps until the runtime's transition wakes
+    # it, in ground order, at the slot where the dense loop's re-peek
+    # would first see the new scheduler state. The bit-identical diff
+    # above is the proof; only the META split differs between the arms.)
     return ref, event
 
 

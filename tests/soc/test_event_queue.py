@@ -6,7 +6,9 @@ nothing under the event core, visible through
 ``system._event_unit_ticks``.
 """
 
+from repro.experiments.runner import _program_for
 from repro.soc import System, preset
+from repro.workloads import get_workload
 
 from tests.soc.test_system import alu_trace, vec_trace
 
@@ -26,6 +28,25 @@ def test_quiescent_littles_are_never_ticked():
         if name.startswith("lit"):
             assert n <= 1, f"{name} executed {n} ticks while quiescent"
     assert ticks["big0"] > 100  # the busy unit really ran
+
+
+def test_parked_workers_are_never_ticked():
+    """Ligra on 1b-4VL runs under the work-stealing runtime. bfs at
+    ``tiny`` has one task per phase, which the big core claims, so the
+    four littles' workers stay parked: at a serial stage or at the
+    barrier. Each little core may execute at most 1% of the little
+    domain's slots instead of re-peeking its worker at every one."""
+    cfg = preset("1b-4VL")
+    ticks, result = _unit_ticks(
+        cfg, _program_for(cfg, get_workload("bfs", "tiny")))
+    slots = (result.stats["sim.ticks_little"]
+             + result.stats["sim.ticks_skipped_little"])
+    for name, n in ticks.items():
+        if name.startswith("lit"):
+            assert n <= slots // 100, (
+                f"{name} executed {n} of {slots} little-domain slots "
+                f"with its worker parked")
+    assert ticks["big0"] > 1000  # the working core really ran
 
 
 def test_unit_ticks_match_domain_meta_for_single_unit_domains():

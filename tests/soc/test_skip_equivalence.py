@@ -120,12 +120,23 @@ def test_skipping_actually_happens_on_idle_heavy_case():
 DRIFT_WORKLOADS = ("blackscholes", "jacobi2d", "pathfinder", "sw")
 
 
-def _assert_loops_agree_on_registry_app(system, workload):
+def _assert_loops_agree_on_registry_app(system, workload, freqs=None,
+                                        interval=None):
+    """Event core vs dense loop on one registry app: every stat that is
+    neither META nor ``obs.*`` must agree. ``freqs`` skews the DVFS
+    point; ``interval`` attaches an IntervalSampler to both loops."""
     cfg = preset(system)
+    if freqs is not None:
+        cfg = cfg.with_freqs(**freqs)
     program = _program_for(cfg, get_workload(workload, "tiny"))
-    on = System(cfg).run(program, skip=True)
-    off = System(cfg).run(program, skip=False)
-    assert _split_stats(on.stats)[1] == _split_stats(off.stats)[1]
+    rest = {}
+    for skip in (True, False):
+        obs = (None if interval is None else
+               Observation(sampler=IntervalSampler(interval=interval)))
+        res = System(cfg, obs=obs).run(program, skip=skip)
+        rest[skip] = {k: v for k, v in _split_stats(res.stats)[1].items()
+                      if not k.startswith("obs.")}
+    assert rest[True] == rest[False]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -157,19 +168,40 @@ def test_sampler_leaves_stats_alone_on_1bdv_jacobi2d():
 # Work-stealing registry programs: the task programs of data-parallel
 # apps on 1bIV-4L, and Ligra on 1b-4VL (engine bypassed) and 1b-4L. The
 # runtime splices overhead and task bodies into each worker's stream at
-# run time, which no synthetic case above exercises at this size.
+# run time, which no synthetic case above exercises at this size. The
+# event core sleeps a core whose worker is parked until the runtime's
+# next transition wakes it, so the Ligra pairs, where the littles park
+# the most, also run on skewed clocks (the wake lands between little
+# slots) and under an interval-100 sampler (boundary stops split the
+# sleeps).
 
+LIGRA = ("bfs", "pagerank", "cc", "radii")
 WORKSTEALING_PAIRS = (
     tuple(("1bIV-4L", w) for w in ("mmult", "saxpy", "backprop",
                                    "pathfinder", "kmeans"))
-    + tuple(("1b-4VL", w) for w in ("bfs", "pagerank", "cc", "radii"))
+    + tuple(("1b-4VL", w) for w in LIGRA)
     + (("1b-4L", "bfs"), ("1b-4L", "kmeans")))
+SKEW = {"big": 2.5, "little": 0.6}  # periods 400/1667/1000 ps
+WORKSTEALING_VARIANTS = {
+    "": {},
+    "dvfs-skew": {"freqs": SKEW},
+    "sampler-100": {"interval": 100},
+    "dvfs-skew-sampler-100": {"freqs": SKEW, "interval": 100},
+}
+WORKSTEALING_CASES = (
+    [(s, w, "") for s, w in WORKSTEALING_PAIRS]
+    + [("1b-4VL", w, v) for v in list(WORKSTEALING_VARIANTS)[1:]
+       for w in LIGRA])
 
 
-@pytest.mark.parametrize("system,workload", WORKSTEALING_PAIRS,
-                         ids=[f"{s}/{w}" for s, w in WORKSTEALING_PAIRS])
-def test_event_matches_dense_on_workstealing_registry_app(system, workload):
-    _assert_loops_agree_on_registry_app(system, workload)
+@pytest.mark.parametrize(
+    "system,workload,variant", WORKSTEALING_CASES,
+    ids=[f"{s}/{w}" + (f"-{v}" if v else "")
+         for s, w, v in WORKSTEALING_CASES])
+def test_event_matches_dense_on_workstealing_registry_app(system, workload,
+                                                          variant):
+    _assert_loops_agree_on_registry_app(
+        system, workload, **WORKSTEALING_VARIANTS[variant])
 
 
 # ---- seeded randomized differential matrix: event vs reference ------
