@@ -570,9 +570,6 @@ def _serve_parser():
                     help="service state root: cache/, artifacts/, and the "
                          "service/jobs.jsonl journal live under it "
                          "(default: results)")
-    ap.add_argument("--batch", type=int, default=4, metavar="N",
-                    help="max queued jobs one worker claims per sweep "
-                         "(default: 4)")
     ap.add_argument("--max-retries", type=int, default=2, metavar="N",
                     help="re-queue a crashed job at most N times before "
                          "marking it failed (default: 2)")
@@ -585,27 +582,29 @@ def _serve_parser():
 def _serve_main(argv):
     args = _serve_parser().parse_args(argv)
 
+    import os
     import signal
 
     from repro.service import ServiceApp
 
     app = ServiceApp(cache_root=args.cache_root, host=args.host,
                      port=args.port, workers=args.workers,
-                     batch=args.batch, max_retries=args.max_retries,
+                     max_retries=args.max_retries,
                      telemetry_path=args.telemetry)
     app.start()
     print(f"sweep service on http://{args.host}:{app.port} "
           f"({args.workers} workers, cache root {args.cache_root}) — "
           f"Ctrl-C drains and exits")
-    stop = {"flag": False}
-
-    def _sigterm(signum, frame):
-        stop["flag"] = True
-
-    signal.signal(signal.SIGTERM, _sigterm)
+    # wait for SIGTERM or Ctrl-C (KeyboardInterrupt): the C-level handler
+    # writes each signal to the wakeup pipe, so one that lands just before
+    # the read blocks is not lost, as it can be for a threading.Event
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    signal.set_wakeup_fd(wake_w)
+    signal.signal(signal.SIGTERM, lambda signum, frame: None)
     try:
-        while not stop["flag"]:
-            time.sleep(0.2)
+        while os.read(wake_r, 1)[0] != signal.SIGTERM:
+            pass
     except KeyboardInterrupt:
         pass
     print("draining in-flight jobs ...")

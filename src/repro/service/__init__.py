@@ -10,8 +10,9 @@ The layers, bottom up (each importable on its own):
 * :mod:`repro.service.artifacts` — per-key :class:`ArtifactStore`;
   derived artifacts render from the cache, simulation-backed ones are
   worker-generated.
-* :mod:`repro.service.workers` — :class:`WorkerPool` threads batching
-  jobs through :class:`ParallelRunner` with capped-backoff retries.
+* :mod:`repro.service.workers` — :class:`WorkerPool` threads running
+  one job at a time through :class:`ParallelRunner` with capped-backoff
+  retries.
 * :mod:`repro.service.http` — :class:`ServiceApp`, the stdlib HTTP/JSON
   front end (``bigvlittle serve``).
 

@@ -54,6 +54,10 @@ _logger = get_logger("repro.service.http")
 #: request body size cap — a sweep of every preset x workload is ~100 KiB
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: how long the HTTP loop may take to notice :meth:`ServiceApp.stop`:
+#: ``socketserver`` polls for a shutdown request, by default every 0.5 s
+SHUTDOWN_POLL_S = 0.05
+
 #: longest a ``GET /v1/jobs/<id>`` of a queued or running job blocks
 #: before answering with the job's current record; a polling client thus
 #: sends about one request per job rather than one per round trip
@@ -90,7 +94,7 @@ class ServiceApp:
     """The sweep service: cache + artifacts + queue + workers + HTTP."""
 
     def __init__(self, cache_root="results", host="127.0.0.1", port=0,
-                 workers=2, batch=4, max_retries=2, backoff_s=0.1,
+                 workers=2, max_retries=2, backoff_s=0.1,
                  telemetry_path=None):
         self.cache_root = cache_root
         self.cache = ResultCache(cache_dir=os.path.join(cache_root, "cache"))
@@ -100,7 +104,7 @@ class ServiceApp:
             telemetry.enable(telemetry_path)
         self.queue = JobQueue.load(
             self.cache, os.path.join(cache_root, "service", "jobs.jsonl"))
-        self.pool = WorkerPool(self.queue, workers=workers, batch=batch,
+        self.pool = WorkerPool(self.queue, workers=workers,
                                max_retries=max_retries, backoff_s=backoff_s,
                                artifact_store=self.artifacts)
         self.httpd = ThreadingHTTPServer((host, port), _make_handler(self))
@@ -117,7 +121,8 @@ class ServiceApp:
     def start(self):
         self.pool.start()
         self._http_thread = threading.Thread(
-            target=self.httpd.serve_forever, name="svc-http", daemon=True)
+            target=self.httpd.serve_forever, args=(SHUTDOWN_POLL_S,),
+            name="svc-http", daemon=True)
         self._http_thread.start()
         _logger.info(f"[service] listening on port {self.port} "
                      f"({self.pool.workers} workers, cache at "

@@ -11,7 +11,10 @@ pre-generate.  The :class:`JobQueue` holds jobs in three places:
   other wakes readers blocked in :meth:`JobQueue.wait` on a job's end;
 * **in a JSONL journal** — every state transition appends one line, so a
   restarted service replays the journal and *re-queues* whatever was
-  queued or running when the process died (counted as ``recovered``);
+  queued or running when the process died (counted as ``recovered``).
+  Each line opens the file, appends and closes it again: the queue holds
+  no handle, so a job that ends after :meth:`JobQueue.close` (a graceful
+  drain) still writes its terminal line;
 * **in telemetry** — ``job_enqueued`` / ``job_start`` / ``job_done`` /
   ``job_retry`` events are emitted on exactly the branches that bump the
   queue's :attr:`~JobQueue.counters`, extending the PR-7 sweep log with
@@ -124,19 +127,17 @@ class JobQueue:
         self._seq = 0
         self._closed = False
         self.counters = {name: 0 for name in COUNTERS}
-        self._journal_f = None
         if journal_path:
             os.makedirs(os.path.dirname(journal_path) or ".", exist_ok=True)
-            self._journal_f = open(journal_path, "a", encoding="utf-8")
 
     # ------------------------------------------------------------- internals
 
     def _journal(self, ev, job):
-        if self._journal_f is not None:
+        if self.journal_path:
             rec = {"ts": round(time.time(), 6), "ev": ev,
                    "job": job.as_dict()}
-            self._journal_f.write(json.dumps(rec, sort_keys=True) + "\n")
-            self._journal_f.flush()
+            with open(self.journal_path, "a", encoding="utf-8") as f:
+                f.write(json.dumps(rec, sort_keys=True) + "\n")
 
     def _emit(self, counter, ev, job, **fields):
         """Bump one counter and emit the matching telemetry event — always
@@ -190,37 +191,21 @@ class JobQueue:
     # -------------------------------------------------------------- claiming
 
     def claim(self, timeout=None):
-        """Pop the oldest queued job (state -> running), blocking up to
-        ``timeout`` seconds; ``None`` on timeout or when closed and empty."""
-        batch = self.claim_batch(1, timeout=timeout)
-        return batch[0] if batch else None
-
-    def claim_batch(self, max_jobs, timeout=None):
-        """Claim up to ``max_jobs`` queued jobs in one go — the worker
-        batches them through a single :class:`ParallelRunner` sweep, which
-        dedups shared keys across jobs for free."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        """Pop the oldest queued job (state -> running).  Blocks until a
+        job is queued or the queue closes, or at most ``timeout`` seconds;
+        ``None`` on timeout or when closed and empty."""
         with self._cond:
-            while not self._pending:
-                if self._closed:
-                    return []
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        if not self._pending:
-                            return []
-            claimed = []
-            while self._pending and len(claimed) < max_jobs:
-                job = self._jobs[self._pending.popleft()]
-                job.state = "running"
-                job.started_ts = time.time()
-                self._emit("started", "job_start", job,
-                           worker=threading.current_thread().name)
-                self._journal("job_start", job)
-                claimed.append(job)
-            return claimed
+            self._cond.wait_for(lambda: self._pending or self._closed,
+                                timeout)
+            if not self._pending:
+                return None
+            job = self._jobs[self._pending.popleft()]
+            job.state = "running"
+            job.started_ts = time.time()
+            self._emit("started", "job_start", job,
+                       worker=threading.current_thread().name)
+            self._journal("job_start", job)
+            return job
 
     # ------------------------------------------------------------ completion
 
@@ -309,9 +294,6 @@ class JobQueue:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-        if self._journal_f is not None:
-            self._journal_f.close()
-            self._journal_f = None
 
     @property
     def closed(self):
@@ -327,7 +309,7 @@ class JobQueue:
         jobs that were queued or running when the last process died are
         re-queued and counted as ``recovered``.
         """
-        queue = cls(cache, journal_path=None)
+        queue = cls(cache, journal_path=journal_path)
         latest = {}
         if journal_path and os.path.exists(journal_path):
             with open(journal_path, encoding="utf-8") as f:
@@ -353,9 +335,4 @@ class JobQueue:
                 queue._pending.append(job.id)
                 queue._inflight[job.signature()] = job.id
                 queue.counters["recovered"] += 1
-        # reopen the journal for appending *after* the replay
-        if journal_path:
-            queue.journal_path = journal_path
-            os.makedirs(os.path.dirname(journal_path) or ".", exist_ok=True)
-            queue._journal_f = open(journal_path, "a", encoding="utf-8")
         return queue

@@ -1,12 +1,12 @@
 """Async worker pool that drains the sweep-service job queue.
 
-Each worker is a thread that claims up to ``batch`` jobs at a time and
-pushes *all* their run specs through one :class:`ParallelRunner` sweep —
-so the queue's FIFO batching composes with the runner's key-level dedup:
-two queued jobs that share a config simulate it once, and a warm cache
-turns a whole batch into pure lookups.  The runner's per-request
-cache-hit levels (:meth:`ParallelRunner.levels`) are sliced back per job
-so every completed job records how hot each of its keys was.
+Each worker is a thread that claims one job at a time, blocking in
+:meth:`JobQueue.claim` until a job is queued or the queue closes, and
+pushes the job's run specs through one :class:`ParallelRunner` sweep, so
+a sweep submitted as one job simulates each distinct key once and a warm
+cache turns it into pure lookups.  The runner's per-request cache-hit
+levels (:meth:`ParallelRunner.levels`) are recorded on the job, so every
+completed job says how hot each of its keys was.
 
 The server process never simulates.  Every simulation — the sweep's
 plain runs and the instrumented runs behind ``timeline``/``phases`` —
@@ -18,12 +18,11 @@ start lazily, on the first simulation.
 
 Failure handling honors the service robustness contract:
 
-* a multi-job batch that raises falls back to per-job execution, so one
-  poisoned config cannot take healthy neighbors down with it;
-* a single job that raises is re-queued with capped exponential backoff
+* a job that raises is re-queued with capped exponential backoff
   (``backoff_s * 2**retries``, capped at ``backoff_cap_s``) until
   ``max_retries`` is exhausted, then marked failed — every attempt is a
-  ``job_retry`` telemetry event and journal line;
+  ``job_retry`` telemetry event and journal line; a failing job never
+  touches another job, so each job ends exactly once;
 * a pool process that dies (OOM kill, SIGKILL) breaks the pool: the
   worker that notices swaps in a fresh one, and the job retries on it;
 * pool processes exit as soon as the server process is gone, however it
@@ -76,14 +75,12 @@ def _watch_server(alive):
 
 
 class WorkerPool:
-    """Threads that claim, batch, execute, and retry queued jobs."""
+    """Threads that claim, execute, and retry queued jobs, one at a time."""
 
-    def __init__(self, queue, workers=2, batch=4,
-                 max_retries=2, backoff_s=0.1, backoff_cap_s=2.0,
-                 artifact_store=None, sleep=time.sleep):
+    def __init__(self, queue, workers=2, max_retries=2, backoff_s=0.1,
+                 backoff_cap_s=2.0, artifact_store=None, sleep=time.sleep):
         self.queue = queue
         self.workers = max(1, int(workers))
-        self.batch = max(1, int(batch))
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
         self.backoff_cap_s = float(backoff_cap_s)
@@ -116,12 +113,12 @@ class WorkerPool:
         ``drain=True`` (the graceful path) closes the queue first — new
         submissions 503 — and lets workers finish every queued job before
         joining; ``drain=False`` asks workers to stop after their current
-        batch, leaving the rest queued (the journal re-queues them on the
+        job, leaving the rest queued (the journal re-queues them on the
         next start).  The simulation pool shuts down last.
         """
         if not drain:
             self._stop.set()
-        self.queue.close()   # wakes blocked claimers; claim returns []
+        self.queue.close()   # wakes blocked claimers
         for t in self._threads:
             t.join()
         self._threads = []
@@ -155,30 +152,16 @@ class WorkerPool:
 
     def stats(self):
         return {"workers": self.workers, "alive": self.alive,
-                "batch": self.batch, "max_retries": self.max_retries,
-                "executed": self.executed}
+                "max_retries": self.max_retries, "executed": self.executed}
 
     # ------------------------------------------------------------- execution
 
     def _loop(self):
         while not self._stop.is_set():
-            jobs = self.queue.claim_batch(self.batch, timeout=0.2)
-            if not jobs:
-                if self.queue.closed and not self.queue.pending():
-                    return
-                continue
-            if len(jobs) == 1:
-                self._run_job(jobs[0])
-                continue
-            try:
-                self._execute(jobs)
-            except Exception as exc:  # batch poisoned: isolate per job
-                _logger.info(f"[service] batch of {len(jobs)} failed "
-                             f"({exc}); retrying jobs individually")
-                for job in jobs:
-                    self._run_job(job)
-            else:
-                self.executed += len(jobs)
+            job = self.queue.claim()   # blocks until a job or close()
+            if job is None:            # closed, and nothing left to drain
+                return
+            self._run_job(job)
 
     def _run_job(self, job):
         """Execute one claimed job; on failure either re-queue it with
@@ -186,7 +169,7 @@ class WorkerPool:
         each attempt gets its own ``job_start``) or mark it failed once
         retries are exhausted."""
         try:
-            self._execute([job])
+            self._execute(job)
         except Exception as exc:
             if job.retries >= self.max_retries:
                 self.queue.fail(job, exc)
@@ -199,29 +182,22 @@ class WorkerPool:
         else:
             self.executed += 1
 
-    def _execute(self, jobs):
-        """Run every spec of ``jobs`` through one ParallelRunner sweep on
-        the simulation pool, then complete each job with its per-key cache
+    def _execute(self, job):
+        """Run every spec of ``job`` through one ParallelRunner sweep on
+        the simulation pool, then complete the job with its per-key cache
         levels and any requested simulation-backed artifacts.  The
         instrumented timeline runs go to the pool first, so they overlap
         the sweep's plain runs."""
         executor = self.executor
-        requests = []
-        slices = []  # (job, start, end) into the flat request list
-        for job in jobs:
-            start = len(requests)
-            requests.extend(
-                RunRequest(system=spec["system"], workload=spec["workload"],
-                           scale=spec["scale"],
-                           overrides=dict(spec.get("overrides", {})))
-                for spec in job.runs)
-            slices.append((job, start, len(requests)))
-        due = {}  # key -> run spec, for each timeline run the batch needs
+        requests = [RunRequest(system=spec["system"],
+                               workload=spec["workload"],
+                               scale=spec["scale"],
+                               overrides=dict(spec.get("overrides", {})))
+                    for spec in job.runs]
+        due = {}  # key -> run spec, for each timeline run the job needs
         if self.artifacts is not None:
-            for job in jobs:
-                for key, spec in zip(job.keys, job.runs):
-                    if self.artifacts.timeline_due(key, job.artifacts):
-                        due[key] = spec
+            due = {key: spec for key, spec in zip(job.keys, job.runs)
+                   if self.artifacts.timeline_due(key, job.artifacts)}
         timelines = {}  # key -> future of its timeline dump
         try:
             for key, spec in due.items():
@@ -231,17 +207,14 @@ class WorkerPool:
             runner.run(requests)
             dumps = {key: fut.result() for key, fut in timelines.items()}
         except BrokenProcessPool:
-            # later jobs need a working pool; this batch retries on it
+            # later jobs need a working pool; this job retries on it
             self._replace_executor(executor)
             raise
         finally:
             for fut in timelines.values():
                 fut.cancel()
-        levels = runner.levels() or [None] * len(requests)
-        for job, start, end in slices:
-            job_levels = dict(zip(job.keys, levels[start:end]))
-            if self.artifacts is not None and job.artifacts:
-                for key in job.keys:
-                    self.artifacts.generate_simulated(key, job.artifacts,
-                                                      dumps.get(key))
-            self.queue.complete(job, levels=job_levels)
+        if self.artifacts is not None and job.artifacts:
+            for key in job.keys:
+                self.artifacts.generate_simulated(key, job.artifacts,
+                                                  dumps.get(key))
+        self.queue.complete(job, levels=dict(zip(job.keys, runner.levels())))

@@ -121,7 +121,6 @@ SURFACE = {
         (("--port",), "port", 8421, None, None, None, "int"),
         (("--workers",), "workers", 2, None, None, None, "int"),
         (("--cache-root",), "cache_root", "results", None, None, None, None),
-        (("--batch",), "batch", 4, None, None, None, "int"),
         (("--max-retries",), "max_retries", 2, None, None, None, "int"),
         (("--telemetry",), "telemetry", None, None, None, None, None),
     ),

@@ -79,14 +79,14 @@ def creq(conn, method, path, body=None, headers=None):
 
 
 def gate_worker(app):
-    """Hold the worker at the start of every batch until the returned
+    """Hold the worker at the start of every job until the returned
     event is set."""
     release = threading.Event()
     execute = app.pool._execute
 
-    def gated(jobs):
+    def gated(job):
         release.wait(20)
-        return execute(jobs)
+        return execute(job)
 
     app.pool._execute = gated
     return release
@@ -463,6 +463,20 @@ def test_stop_returns_for_an_app_that_was_never_started(tmp_path):
     assert app.httpd.socket.fileno() == -1  # the socket is released
 
 
+def test_stop_of_an_idle_app_returns_promptly(tmp_path):
+    """Nothing on an idle app's stop path waits out a poll: the workers
+    block in ``claim()`` until ``close()`` wakes them, and the HTTP loop
+    notices the shutdown within ``SHUTDOWN_POLL_S``."""
+    from repro.service import ServiceApp
+
+    app = ServiceApp(cache_root=str(tmp_path / "svc"), port=0,
+                     workers=2).start()
+    t0 = time.perf_counter()
+    app.stop(drain=True)
+    assert time.perf_counter() - t0 < 0.25
+    assert app.pool.alive == 0
+
+
 # ------------------------------------------------------------- disk faults
 
 @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EACCES],
@@ -500,6 +514,58 @@ def test_failed_cache_write_fails_the_job_and_caches_nothing(
     assert status == 404 and headers["X-BigVLittle-Cache"] == "miss"
 
 
+@pytest.mark.parametrize("err", [errno.ENOSPC, errno.EACCES],
+                         ids=["ENOSPC", "EACCES"])
+def test_failed_artifact_write_ends_each_job_exactly_once(
+        tmp_path, monkeypatch, err):
+    """Two jobs queued before the worker starts, the second asking for a
+    ``timeline`` whose write into its artifact directory fails: the first
+    ends ``done`` once, the second ``failed`` once after ``max_retries``,
+    the journal holds one terminal line per job, no temp file is left,
+    and the timeline stays a 404."""
+    from repro.service import ServiceApp
+
+    app = ServiceApp(cache_root=str(tmp_path / "svc"), port=0, workers=1,
+                     backoff_s=0.01)
+    try:
+        first, _ = app.queue.submit([dict(RUN, overrides={})])
+        second, _ = app.queue.submit(
+            [dict(RUN, overrides={"mem": {"dram_latency": 300}})],
+            artifacts=("timeline",))
+        key_dir = os.path.abspath(app.artifacts.dir_for(second.keys[0]))
+        replace = os.replace
+
+        def failing_replace(src, dst, *args, **kwargs):
+            if os.path.dirname(os.path.abspath(dst)) == key_dir:
+                raise OSError(err, os.strerror(err), dst)
+            return replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        app.start()
+        assert app.queue.wait(second.id, 60)["state"] == "failed"
+        assert app.queue.wait(first.id, 60)["state"] == "done"
+        assert os.strerror(err) in second.error
+        counters = app.queue.counters
+        assert (counters["done"], counters["failed"]) == (1, 1)
+        assert counters["retried"] == app.pool.max_retries
+        journal = os.path.join(app.cache_root, "service", "jobs.jsonl")
+        with open(journal) as f:
+            recs = [json.loads(line) for line in f]
+        ends = {job.id: [r["ev"] for r in recs if r["job"]["id"] == job.id
+                         and r["ev"] in ("job_done", "job_failed")]
+                for job in (first, second)}
+        assert ends == {first.id: ["job_done"], second.id: ["job_failed"]}
+        tmp = [os.path.join(d, fn)
+               for d, _, files in os.walk(app.artifacts.root)
+               for fn in files if fn.endswith(".tmp")]
+        assert tmp == []
+        status, _, _ = req(app, "GET",
+                           f"/v1/results/{second.keys[0]}/timeline")
+        assert status == 404
+    finally:
+        app.stop(drain=True)
+
+
 # ------------------------------------------------------------ server process
 
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
@@ -517,13 +583,14 @@ def _smoke_tool():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"),
                     reason="reads the process table from /proc")
-@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
-                         ids=["SIGKILL", "SIGTERM"])
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM,
+                                 signal.SIGINT],
+                         ids=["SIGKILL", "SIGTERM", "SIGINT"])
 def test_an_ended_server_leaves_no_process_behind(tmp_path, sig):
-    """However ``bigvlittle serve`` ends — a SIGTERM drain, or a SIGKILL
-    that runs no clean-up at all — every process it started (the
-    forkserver, the resource tracker, the pool's simulation processes)
-    is gone within 5 s."""
+    """However ``bigvlittle serve`` ends — a SIGTERM or Ctrl-C drain that
+    exits 0, or a SIGKILL that runs no clean-up at all — every process it
+    started (the forkserver, the resource tracker, the pool's simulation
+    processes) is gone within 5 s."""
     smoke = _smoke_tool()
     port = smoke.free_port()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -552,8 +619,8 @@ def test_an_ended_server_leaves_no_process_behind(tmp_path, sig):
         # forkserver, resource tracker, and the process that ran the job
         assert len(started) >= 3, started
         proc.send_signal(sig)
-        assert proc.wait(timeout=30) == (0 if sig == signal.SIGTERM
-                                         else -signal.SIGKILL)
+        assert proc.wait(timeout=30) == (-signal.SIGKILL
+                                         if sig == signal.SIGKILL else 0)
         deadline = time.monotonic() + 5
         while left := [pid for pid in started if smoke.running(pid)]:
             assert time.monotonic() < deadline, f"still running: {left}"

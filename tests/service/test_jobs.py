@@ -59,15 +59,16 @@ def test_inflight_dedup_coalesces_identical_submits(tmp_path):
     assert d is not a and not dedup_d
 
 
-def test_claim_batch_takes_fifo_prefix(tmp_path):
+def test_claim_takes_jobs_in_fifo_order(tmp_path):
     q = make_queue(tmp_path)
     ids = []
     for lat in (100, 200, 300):
         job, _ = q.submit([dict(RUN, overrides={"mem": {"dram_latency": lat}})])
         ids.append(job.id)
-    batch = q.claim_batch(2, timeout=0)
-    assert [j.id for j in batch] == ids[:2]
-    assert q.pending() == 1
+    assert q.claim(timeout=0).id == ids[0]
+    assert q.pending() == 2
+    assert [q.claim(timeout=0).id for _ in ids[1:]] == ids[1:]
+    assert q.claim(timeout=0) is None and q.pending() == 0
 
 
 def test_requeue_and_fail(tmp_path):
@@ -170,8 +171,9 @@ def test_journal_replay_requeues_interrupted_jobs(tmp_path):
     q.complete(done_job, levels={done_job.keys[0]: "fresh"})
     q.submit([dict(RUN, overrides={"mem": {"dram_latency": 200}})])
     running, _ = q.submit([dict(RUN, overrides={"mem": {"dram_latency": 300}})])
-    # claim one more, then "crash" without completing it
-    q.claim_batch(2, timeout=0)
+    # claim both, then "crash" without completing either
+    q.claim(timeout=0)
+    q.claim(timeout=0)
     q.close()
 
     q2 = JobQueue.load(q.cache, q.journal_path)
@@ -233,7 +235,7 @@ def test_validate_submit_shapes():
 
 def test_worker_pool_executes_and_records_levels(tmp_path, run_spy):
     q = make_queue(tmp_path)
-    pool = WorkerPool(q, workers=1, batch=4, backoff_s=0.001).start()
+    pool = WorkerPool(q, workers=1, backoff_s=0.001).start()
     job, _ = q.submit([dict(RUN)])
     warm, _ = q.submit([dict(RUN, overrides={})])  # same key, after dedup gap?
     pool.stop(drain=True)
@@ -284,17 +286,18 @@ def test_worker_pool_retries_then_fails_poisoned_job(tmp_path):
         telemetry.disable()
 
 
-def test_worker_pool_isolates_poisoned_job_in_batch(tmp_path):
+def test_worker_pool_isolates_a_poisoned_neighbour(tmp_path):
     q = make_queue(tmp_path)
     good, _ = q.submit([dict(RUN)])
     bad, _ = q.submit([{"system": "1b", "workload": "no-such-workload",
                         "scale": "tiny", "overrides": {}}])
-    # start AFTER both are queued so one claim_batch takes them together
-    pool = WorkerPool(q, workers=1, batch=4, max_retries=0,
+    # start AFTER both are queued, so one worker claims them back to back
+    pool = WorkerPool(q, workers=1, max_retries=0,
                       backoff_s=0.001).start()
     pool.stop(drain=True)
     assert good.state == "done"
     assert bad.state == "failed"
+    assert (q.counters["done"], q.counters["failed"]) == (1, 1)
 
 
 def test_worker_pool_drain_finishes_queued_work(tmp_path, run_spy):
@@ -307,6 +310,39 @@ def test_worker_pool_drain_finishes_queued_work(tmp_path, run_spy):
     assert pool.alive == 0
     with pytest.raises(RuntimeError):
         q.submit([dict(RUN)])
+
+
+def test_a_job_that_ends_during_a_drain_reaches_the_journal(tmp_path):
+    """``stop(drain=True)`` closes the queue before the workers finish.
+    A job still running then must append its ``job_done`` line, or the
+    next start re-queues it as recovered and runs it a second time."""
+    q = make_queue(tmp_path, journal=True)
+    running, closed = threading.Event(), threading.Event()
+    close = q.close
+
+    def close_and_tell():
+        close()
+        closed.set()
+
+    q.close = close_and_tell
+    pool = WorkerPool(q, workers=1, backoff_s=0.001)
+    execute = pool._execute
+
+    def execute_after_close(job):
+        running.set()
+        assert closed.wait(20)
+        execute(job)
+
+    pool._execute = execute_after_close
+    pool.start()
+    job, _ = q.submit([dict(RUN)])
+    assert running.wait(20)
+    pool.stop(drain=True)
+    assert job.state == "done"
+    replayed = JobQueue.load(q.cache, q.journal_path)
+    assert replayed.counters["recovered"] == 0
+    assert replayed.get(job.id).state == "done"
+    assert replayed.get(job.id).levels == job.levels
 
 
 def test_artifact_generation_rides_on_worker(tmp_path, run_spy):

@@ -121,6 +121,13 @@ def make_case(seed):
     if base == "1b-4VL":
         over["chimes"] = rng.choice((1, 2, 4))
         over["switch_penalty"] = rng.choice((50, 200, 500))
+        # the engine takes one or two chimes and banks its lanes by a
+        # power of two: redraw what it rejects from the same rng, so every
+        # case the engine accepts keeps its draw
+        if over["n_little"] == 3:
+            over["n_little"] = rng.choice((1, 2, 4))
+        if over["chimes"] == 4:
+            over["chimes"] = rng.choice((1, 2))
     elif base in ("1bIV", "1bIV-4L"):
         over["ivu_vlen_bits"] = rng.choice((64, 128, 256))
     elif base == "1bDV":

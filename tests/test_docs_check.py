@@ -38,3 +38,28 @@ def test_stale_import_reports_exactly_the_missing_name():
     assert names == ["run_pair", "no_such_function"]
     assert list(docs_check.stale_imports(DOC)) == [
         (6, "repro.experiments.no_such_function")]
+
+
+def test_serve_flags_the_cli_lacks_are_reported(tmp_path):
+    """A flag ``bigvlittle serve`` does not accept fails the lint when a
+    doc shows it on a bracketed continuation line of a usage synopsis or
+    in the serve flag table of ``docs/service.md``."""
+    docs_check = _docs_check()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "service.md").write_text(
+        "```\n"
+        "bigvlittle serve [--port P] [--workers N]   # usage\n"
+        "           [--no-such-flag N] [--host H]    # a comment\n"
+        "```\n"
+        "\n"
+        "| flag | default | meaning |\n"
+        "|---|---|---|\n"
+        "| `--port` | `8421` | TCP port |\n"
+        "| `--gone` | `4` | a flag the CLI dropped |\n")
+    problems = docs_check.check_docs(str(tmp_path))
+    assert ("docs/service.md:2: 'bigvlittle serve' does not accept "
+            "'--no-such-flag'") in problems
+    assert ("docs/service.md:9: the flag table lists '--gone', which "
+            "'bigvlittle serve' does not accept") in problems
+    assert not [p for p in problems
+                if "--port" in p or "--workers" in p or "'--host'" in p]

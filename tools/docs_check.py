@@ -8,11 +8,14 @@ docs/*.md) and cross-checks it against the live argparse tree
 
 * every verb a doc invokes must exist (a named verb, an experiment
   name, or ``all``);
-* every ``--flag`` a doc shows must be accepted by that verb's parser;
+* every ``--flag`` a doc shows must be accepted by that verb's parser,
+  including the flags on the bracketed continuation lines of a fenced
+  usage synopsis (``           [--flag N] ...``);
 * conversely, every named verb must be demonstrated somewhere in the
   docs — a shipped-but-undocumented verb fails the build;
 * ``docs/service.md`` must mention every ``bigvlittle serve`` flag and
-  every API endpoint in :data:`repro.service.schemas.ENDPOINTS`;
+  every API endpoint in :data:`repro.service.schemas.ENDPOINTS`, and its
+  serve flag table may list no flag that ``bigvlittle serve`` lacks;
 * every repository path a doc names under ``benchmarks/``, ``tools/``,
   ``perfbench/``, ``tests/`` or ``src/`` must exist;
 * every name a fenced ``from repro... import a, b`` (or its parenthesized
@@ -66,7 +69,8 @@ def doc_paths(root):
 
 
 def code_lines(text):
-    """Yield (line_number, code_text) for inline spans and fenced blocks."""
+    """Yield (line_number, code_text, fenced) for inline spans and the
+    lines of fenced blocks."""
     fence = False
     for i, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -74,20 +78,31 @@ def code_lines(text):
             fence = not fence
             continue
         if fence:
-            yield i, line
+            yield i, line, True
         else:
             for span in re.findall(r"`([^`]+)`", line):
-                yield i, span
+                yield i, span, False
+
+
+def _continues(code, following):
+    """Whether fenced line ``following`` continues the command on fenced
+    line ``code``: a backslash continuation, or an indented line of
+    bracketed options under a usage synopsis."""
+    return (code.rstrip().endswith("\\")
+            or re.match(r"\s+\[", following) is not None)
 
 
 def commands_in(text):
     """Yield (line_number, [token, ...]) for every bigvlittle invocation."""
     lines = list(code_lines(text))
-    for idx, (lineno, code) in enumerate(lines):
-        # join backslash continuations within fenced blocks
-        while code.rstrip().endswith("\\") and idx + 1 < len(lines):
+    for idx, (lineno, code, fenced) in enumerate(lines):
+        # join continuation lines within fenced blocks, without comments
+        while (fenced and idx + 1 < len(lines) and lines[idx + 1][2]
+               and lines[idx + 1][0] == lines[idx][0] + 1
+               and _continues(code, lines[idx + 1][1])):
             idx += 1
-            code = code.rstrip()[:-1] + " " + lines[idx][1]
+            code = (re.split(r"\s#", code.rstrip().rstrip("\\"))[0]
+                    + " " + re.split(r"\s#", lines[idx][1])[0])
         for m in re.finditer(r"\bbigvlittle\s+(.*)", code):
             tokens = []
             for tok in m.group(1).split():
@@ -160,6 +175,21 @@ def stale_imports(text):
             yield lineno, f"{module}.{name}"
 
 
+def table_flags(text):
+    """Yield (line_number, flag) for the first cell of each row of every
+    Markdown table whose first column is headed ``flag``."""
+    in_table = False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first = line.strip("|").split("|")[0].strip()
+        if first == "flag":
+            in_table = True
+        elif in_table and (m := re.fullmatch(r"`(--[\w-]+)`", first)):
+            yield lineno, m.group(1)
+
+
 def parser_flags(parser):
     return {opt for action in parser._actions
             for opt in action.option_strings if opt.startswith("--")}
@@ -227,10 +257,16 @@ def check_docs(root):
     else:
         with open(service_md, encoding="utf-8") as f:
             service_text = f.read()
-        for flag in sorted(parser_flags(registry["serve"]) - {"--help"}):
+        serve_flags = parser_flags(registry["serve"])
+        for flag in sorted(serve_flags - {"--help"}):
             if flag not in service_text:
                 problems.append(f"docs/service.md: 'bigvlittle serve' flag "
                                 f"{flag!r} is undocumented")
+        for lineno, flag in table_flags(service_text):
+            if flag not in serve_flags:
+                problems.append(f"docs/service.md:{lineno}: the flag table "
+                                f"lists {flag!r}, which 'bigvlittle serve' "
+                                f"does not accept")
         for method, endpoint, _ in ENDPOINTS:
             if endpoint not in service_text:
                 problems.append(f"docs/service.md: endpoint '{method} "

@@ -19,9 +19,13 @@ What CI runs (and what an operator can run locally to vet a deploy):
    ``WARM_GET_MS`` — a reply stalled by Nagle's algorithm takes 40 ms;
 7. re-submit the same body and require dedup/instant completion;
 8. check ``GET /v1/stats`` counters reconcile with the telemetry JSONL;
-9. SIGTERM the server and require a clean drain + exit 0, after which
-   no process the server started (simulation pool, forkserver,
-   resource tracker) may survive ``LEFTOVER_S`` seconds.
+9. submit a cold ``DRAIN_RUN`` and SIGTERM the server while it runs;
+   require a clean drain + exit 0, after which no process the server
+   started (simulation pool, forkserver, resource tracker) may survive
+   ``LEFTOVER_S`` seconds;
+10. require the job journal to hold exactly one terminal line, a
+    ``job_done``, for every job the run submitted, and a replay of it
+    to re-queue none.
 
 Every request goes over one persistent HTTP/1.1 connection, as a real
 client's would, and job polls do not sleep: the server holds each poll
@@ -59,6 +63,8 @@ WARM_GETS = 20
 WARM_GET_MS = 20.0
 #: how long the processes a drained server started may take to exit
 LEFTOVER_S = 5.0
+#: a cold run of about half a second, still running when SIGTERM lands
+DRAIN_RUN = {"system": "1b", "workload": "mmult", "scale": "small"}
 
 
 def request(conn, method, path, body=None):
@@ -110,6 +116,30 @@ def running(pid):
     except (OSError, IndexError):
         return False
     return state not in ("Z", "X")
+
+
+def journal_problem(root, job_ids):
+    """What is wrong with the job journal under ``root`` after a drain,
+    or ``None``: every job in ``job_ids`` must have exactly one terminal
+    line, a ``job_done``, and a replay must re-queue nothing."""
+    from repro.experiments.cache import ResultCache
+    from repro.service.jobs import JobQueue
+
+    path = os.path.join(root, "service", "jobs.jsonl")
+    with open(path) as f:
+        recs = [json.loads(line) for line in f if line.strip()]
+    ends = {job_id: [r["ev"] for r in recs if r["job"]["id"] == job_id
+                     and r["ev"] in ("job_done", "job_failed")]
+            for job_id in job_ids}
+    wrong = {job_id: evs for job_id, evs in ends.items()
+             if evs != ["job_done"]}
+    if wrong:
+        return f"terminal journal lines per job are not one job_done: {wrong}"
+    replay = JobQueue.load(ResultCache(os.path.join(root, "cache")), path)
+    if replay.counters["recovered"]:
+        return (f"a replay of the journal re-queues "
+                f"{replay.counters['recovered']} job(s)")
+    return None
 
 
 def free_port():
@@ -175,6 +205,7 @@ def main():
             return fail(f"submit returned {status}: {raw!r}", proc)
         job = json.loads(raw)
         key = job["keys"][0]
+        submitted = [job["id"]]
         print(f"service_smoke: submitted {job['id']} key={key[:12]}…")
 
         job = poll(conn, job["id"])
@@ -258,6 +289,7 @@ def main():
               f"over {WARM_GETS} requests on one connection")
 
         status, _, raw = request(conn, "POST", "/v1/runs", body)
+        submitted.append(json.loads(raw)["id"])
         if status != 200 and json.loads(raw)["state"] != "done":
             # not deduplicated (job already finished) — must at least be
             # a warm job; poll it to done and require a cache-level hit
@@ -287,6 +319,10 @@ def main():
               f"({by_ev.get('job_enqueued', 0)} enqueued, "
               f"{by_ev.get('job_done', 0)} done events)")
 
+        status, _, raw = request(conn, "POST", "/v1/runs", DRAIN_RUN)
+        if status != 202:
+            return fail(f"submit of the drain run returned {status}", proc)
+        submitted.append(json.loads(raw)["id"])
         conn.close()
         check_leftovers = os.path.isdir("/proc/self")
         started = descendants(proc.pid) if check_leftovers else []
@@ -305,6 +341,11 @@ def main():
                 time.sleep(0.05)
             print(f"service_smoke: none of the {len(started)} processes the "
                   f"server started outlived it")
+        problem = journal_problem(os.path.join(root, "results"), submitted)
+        if problem:
+            return fail(f"job journal after the drain: {problem}")
+        print(f"service_smoke: the journal ends each of the {len(submitted)} "
+              f"submitted jobs once, as done; a replay re-queues none")
 
         if args.keep:
             os.makedirs(args.keep, exist_ok=True)
