@@ -10,7 +10,6 @@ import sys
 
 from repro.experiments import run_pair
 from repro.power import BIG_LEVELS, LITTLE_LEVELS, freqs, pareto_frontier, system_power_w
-from repro.soc import preset
 
 
 def main():
@@ -25,8 +24,8 @@ def main():
         row = []
         for l in LITTLE_LEVELS:
             fb, fl = freqs(b, l)
-            cfg = preset("1b-4VL").with_freqs(big=fb, little=fl)
-            t = run_pair("1b-4VL", app, scale, cfg=cfg).stats["time_ps"]
+            t = run_pair("1b-4VL", app, scale, freq_big=fb,
+                         freq_little=fl).stats["time_ps"]
             row.append(base / t)
             points.append((t, system_power_w("1b-4VL", b, l), (b, l)))
         print(f"  {b:>4s}    " + "".join(f"{v:8.2f}" for v in row))

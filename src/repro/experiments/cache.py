@@ -1,6 +1,6 @@
 """Persistent result cache for the experiment harness.
 
-Every ``run_pair`` outcome is memoized twice:
+Every run ``ParallelRunner`` resolves (``run_pair``'s too) is memoized twice:
 
 * **in memory** — a per-process dict, so repeated lookups within one harness
   invocation return the *same* :class:`RunResult` object, and
@@ -17,7 +17,8 @@ aliased configs that differed in any field it forgot to list.
 
 A corrupted or truncated cache file is treated as a miss: the harness warns,
 counts it (``stats()["corrupt"]``, shown by ``bigvlittle cache stats``), and
-re-simulates rather than crashing.
+re-simulates rather than crashing; an entry a racing ``prune`` removes
+is a plain miss.
 
 Every entry is one flat file, ``<cache_dir>/<key>.json``, whichever
 program wrote it: a CLI sweep, the report, perfbench, or the sweep
@@ -154,30 +155,31 @@ class ResultCache:
                           load_wall_s=0.0)
             return self._mem[key]
         path = self.path_for(key)
-        if os.path.exists(path):
-            t0 = time.perf_counter()
-            try:
-                with open(path) as f:
-                    record = json.load(f)
-                result = RunResult.from_dict(record["result"])
-            except (OSError, ValueError, KeyError, TypeError) as e:
-                self.corrupt += 1
-                if tel is not None:
-                    tel.event("cache_corrupt", key=key, path=path)
-                warnings.warn(
-                    f"corrupted result-cache file {path} ({e!r}); "
-                    f"re-simulating", RuntimeWarning, stacklevel=2)
-            else:
-                load_s = time.perf_counter() - t0
-                result.timing["from_cache"] = True
-                result.timing["load_wall_s"] = round(load_s, 6)
-                self._mem[key] = result
-                self.hits += 1
-                self.disk_hits += 1
-                if tel is not None:
-                    tel.event("cache_hit", key=key, level="disk",
-                              load_wall_s=round(load_s, 6))
-                return result
+        t0 = time.perf_counter()
+        try:
+            with open(path) as f:
+                record = json.load(f)
+            result = RunResult.from_dict(record["result"])
+        except FileNotFoundError:  # never written, or a racing prune won
+            pass
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            self.corrupt += 1
+            if tel is not None:
+                tel.event("cache_corrupt", key=key, path=path)
+            warnings.warn(
+                f"corrupted result-cache file {path} ({e!r}); "
+                f"re-simulating", RuntimeWarning, stacklevel=2)
+        else:
+            load_s = time.perf_counter() - t0
+            result.timing["from_cache"] = True
+            result.timing["load_wall_s"] = round(load_s, 6)
+            self._mem[key] = result
+            self.hits += 1
+            self.disk_hits += 1
+            if tel is not None:
+                tel.event("cache_hit", key=key, level="disk",
+                          load_wall_s=round(load_s, 6))
+            return result
         self.misses += 1
         if tel is not None:
             tel.event("cache_miss", key=key)
@@ -273,7 +275,7 @@ _cache = None
 
 
 def get_cache():
-    """The process-wide cache used by ``run_pair`` when none is passed."""
+    """The process-wide cache a ``ParallelRunner`` uses when none is passed."""
     global _cache
     if _cache is None:
         _cache = ResultCache()

@@ -100,6 +100,9 @@ _ABLATIONS = {
     "ablate-graphs": ablations.graph_topology,
     "ablate-regions": ablations.region_granularity,
 }
+#: ablations that ignore ``--scale``: ``ablate-switch`` sweeps ``tiny`` and
+#: ``small``, ``ablate-regions`` sizes its regions by element count
+_SCALE_FREE = {"ablate-switch", "ablate-regions"}
 
 _TABLES = {
     "table2": tables.table2,
@@ -157,12 +160,13 @@ def _experiments_main(argv):
     for name in names:
         t0 = time.time()
         h0, m0 = cache.hits, cache.misses
-        print(f"== {name} (scale={args.scale}) ==")
+        kw = {} if name in _SCALE_FREE else {"scale": args.scale}
+        print(f"== {name}" + (f" (scale={args.scale})" if kw else "") + " ==")
         if name in _FIGS:
             fn, pr = _FIGS[name]
             data = fn(scale=args.scale, jobs=args.jobs)
         elif name in _ABLATIONS:
-            data = _ABLATIONS[name](jobs=args.jobs)
+            data = _ABLATIONS[name](jobs=args.jobs, **kw)
             pr = None
         else:
             data = _TABLES[name](scale=args.scale, jobs=args.jobs)

@@ -23,25 +23,31 @@ takes its results from one :meth:`ParallelRunner.run` call
 one lookup per request — zero ``System.run`` calls — and a cold one runs at
 ``jobs``-way parallelism.
 
-When sweep telemetry is enabled (:mod:`repro.experiments.telemetry`), the
-runner brackets the sweep with ``sweep_start``/``sweep_end`` events, the
-cache emits per-request hit/miss events, and every simulation — whether in
-a pool worker or inline — lands as ``run_start``/``run_end`` plus a
-``worker_busy`` span, so the whole sweep exports as a one-track-per-worker
-Chrome trace (``SweepTelemetry.write_chrome_trace``).
+The runner is the only code that looks a run up in the result cache,
+stores it, and reports it: :func:`repro.experiments.runner.run_pair` is a
+one-request sweep, and every simulation, inline or in a pool worker, is
+one :func:`~repro.experiments.runner.simulate` call.  When sweep telemetry
+is enabled (:mod:`repro.experiments.telemetry`), the runner brackets the
+sweep with ``sweep_start``/``sweep_end`` events, the cache emits
+per-request hit/miss events, and every simulation finishes through one
+function that emits its ``run_start`` (stamped with the simulation's own
+start time, wherever it ran), ``run_end`` and ``worker_busy`` span, so the
+whole sweep exports as a one-track-per-worker Chrome trace
+(``SweepTelemetry.write_chrome_trace``).
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.experiments import telemetry
 from repro.experiments.cache import SIM_VERSION, get_cache
-from repro.experiments.runner import run_pair
+from repro.experiments.runner import simulate
 from repro.log import get_logger
 from repro.soc import preset
 from repro.stats import RunResult
@@ -73,13 +79,12 @@ def _simulate(req):
     The parent already looked the key up, and it is the only writer: it
     stores the result in its own cache, in that cache's layout.  Returns
     the result dict plus the worker's identity and busy interval; the
-    parent turns those into the authoritative telemetry events (the
-    worker disables its inherited telemetry so nothing is double-logged).
+    parent turns those into the run's telemetry events (the worker
+    disables its inherited telemetry so nothing is double-logged).
     """
     telemetry.disable()
     t_start = time.time()
-    result = run_pair(req.system, req.workload, req.scale, use_cache=False,
-                      **req.overrides)
+    result = simulate(req.config(), req.workload, req.scale)
     return {"result": result.to_dict(), "pid": os.getpid(),
             "t_start": t_start, "t_end": time.time()}
 
@@ -141,21 +146,35 @@ class ParallelRunner:
         sim_wall = 0.0
         busy_s = 0.0
         if progress and hits:
-            self._log(f"[cache] {hits}/{len(requests)} requests served "
-                      f"from cache")
+            _logger.info(f"[cache] {hits}/{len(requests)} requests served "
+                         f"from cache")
 
-        def finish(key, req, idxs, result):
-            nonlocal done, sim_wall
+        def finish(key, req, idxs, result, worker, t_start, t_end):
+            """Complete one simulation, inline or pooled: emit its run
+            events, store it once and hand it to every request for it."""
+            nonlocal done, sim_wall, busy_s
             done += 1
-            sim_wall += result.timing.get("wall_s", 0.0)
+            wall_s = result.timing.get("wall_s", 0.0)
+            sim_wall += wall_s
+            busy_s += t_end - t_start
+            if tel is not None:
+                tel.event("run_start", ts=t_start, key=key, system=req.system,
+                          workload=req.workload, scale=req.scale,
+                          sim_version=SIM_VERSION)
+                tel.event("run_end", key=key, wall_s=round(wall_s, 6),
+                          sim_wall_s=round(result.timing.get(
+                              "sim_wall_s", wall_s), 6),
+                          load_wall_s=0.0, level="fresh",
+                          cycles=result.cycles)
+                tel.span(worker, req.label(), t_start, t_end, key=key)
             if use_cache:
                 self.cache.put(key, result)
             for i in idxs:
                 results[i] = result
                 levels[i] = "fresh"
             if progress:
-                self._log(f"[{done}/{n_sim}] {req.label()} simulated in "
-                          f"{result.timing.get('wall_s', 0.0):.2f}s")
+                _logger.info(f"[{done}/{n_sim}] {req.label()} simulated in "
+                             f"{wall_s:.2f}s")
 
         if n_sim and (self.pool is not None or self.jobs > 1):
             workers = min(self.jobs, n_sim)
@@ -169,13 +188,11 @@ class ParallelRunner:
                         ready, not_done = wait(not_done,
                                                return_when=FIRST_COMPLETED)
                         for fut in ready:
-                            key, req, idxs = futs[fut]
                             payload = fut.result()
-                            result = RunResult.from_dict(payload["result"])
-                            busy_s += payload["t_end"] - payload["t_start"]
-                            if tel is not None:
-                                self._replay(tel, key, req, payload, result)
-                            finish(key, req, idxs, result)
+                            finish(*futs[fut],
+                                   RunResult.from_dict(payload["result"]),
+                                   payload["pid"], payload["t_start"],
+                                   payload["t_end"])
                 finally:
                     # a failed sweep leaves no work queued on a shared pool
                     for fut in not_done:
@@ -183,22 +200,14 @@ class ParallelRunner:
         else:
             workers = 1 if n_sim else 0
             for key, (req, idxs) in pending.items():
-                # run_pair emits its own run/span telemetry on this path;
-                # the lookup above and finish() are the only cache calls
                 t_start = time.time()
-                result = run_pair(req.system, req.workload, req.scale,
-                                  use_cache=False, **req.overrides)
-                busy_s += time.time() - t_start
-                finish(key, req, idxs, result)
+                result = simulate(req.config(), req.workload, req.scale)
+                finish(key, req, idxs, result, "main", t_start, time.time())
 
         wall = time.perf_counter() - t0
         self._levels = levels
-        level_counts = {}
-        for lv in levels:
-            if lv is not None:
-                level_counts[lv] = level_counts.get(lv, 0) + 1
         self._summary = {
-            "levels": level_counts,
+            "levels": dict(Counter(levels)),
             "requests": len(requests),
             "cache_hits": hits,
             "simulated": n_sim,
@@ -217,22 +226,6 @@ class ParallelRunner:
                                       for k, v in self._summary.items()})
         return results
 
-    @staticmethod
-    def _replay(tel, key, req, payload, result):
-        """Emit a pool worker's run as telemetry: the worker disabled its
-        inherited sink, so its events come from the returned payload."""
-        tel.event("run_start", key=key, system=req.system,
-                  workload=req.workload, scale=req.scale,
-                  sim_version=SIM_VERSION)
-        timing = result.timing
-        tel.event("run_end", key=key,
-                  wall_s=round(timing.get("wall_s", 0.0), 6),
-                  sim_wall_s=round(timing.get("sim_wall_s",
-                                              timing.get("wall_s", 0.0)), 6),
-                  load_wall_s=0.0, level="fresh", cycles=result.cycles)
-        tel.span(payload["pid"], req.label(), payload["t_start"],
-                 payload["t_end"], key=key)
-
     def summary(self):
         """Stats from the most recent :meth:`run`."""
         return dict(self._summary) if self._summary else None
@@ -244,10 +237,6 @@ class ParallelRunner:
         sweep service forwards these so every API response says how hot
         its path was."""
         return list(self._levels) if self._levels is not None else None
-
-    @staticmethod
-    def _log(msg):
-        _logger.info(msg)
 
 
 def run_sweep(requests, jobs=None):

@@ -12,19 +12,17 @@ The mapping (paper §IV):
   useless for irregular code); work-stealing task program on the multicore
   systems (``1b-4VL`` runs it in scalar mode, identically to ``1b-4L``).
 
-Results are memoized per full canonical config + workload identity through
-:mod:`repro.experiments.cache` (an in-memory dict backed by a persistent
-on-disk store), so the figure generators share runs within a process *and*
-across harness invocations.
+:func:`simulate` builds and runs one program; every cached run goes
+through :class:`~repro.experiments.parallel.ParallelRunner`, which
+memoizes results per full canonical config + workload identity in
+:mod:`repro.experiments.cache` (memory, then disk), so the figure
+generators share runs within a process *and* across harness invocations.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.errors import ConfigError
-from repro.experiments import telemetry
-from repro.experiments.cache import SIM_VERSION, get_cache
+from repro.experiments.cache import get_cache
 from repro.soc import System, preset
 from repro.workloads import get_workload
 
@@ -62,46 +60,27 @@ def _program_for(cfg, workload):
     return workload.task_program()
 
 
-def run_pair(system_name, workload_name, scale="small", cfg=None, use_cache=True,
-             cache=None, **cfg_overrides):
-    """Simulate one (system, workload) pair; returns a RunResult.
+def simulate(cfg, workload, scale, obs=None):
+    """Build ``workload``'s program for ``cfg`` and run it once: no cache,
+    no run events.  Every simulation goes through this one recipe, and it
+    looks ``get_workload``, ``_program_for`` and ``System`` up as module
+    globals, so wrapping them here times every simulation's stages."""
+    program = _program_for(cfg, get_workload(workload, scale))
+    return System(cfg).run(program, obs=obs)
 
-    The cache key is a content hash of the *entire* serialized config (see
-    :meth:`SoCConfig.canonical_json`) plus the workload identity and the
-    simulator version — any ``cfg_overrides``-reachable field change, down
-    to individual ``cfg.mem`` parameters, produces a distinct key.
-    """
-    if cfg is None:
-        cfg = preset(system_name, **cfg_overrides)
-    cache = cache if cache is not None else get_cache()
-    tel = telemetry.current()
-    # the key is read only by the cache and by telemetry events
-    key = (cache.key_for(cfg, workload_name, scale)
-           if use_cache or tel is not None else None)
-    if use_cache:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    workload = get_workload(workload_name, scale)
-    program = _program_for(cfg, workload)
-    if tel is not None:
-        tel.event("run_start", key=key, system=system_name,
-                  workload=workload_name, scale=scale,
-                  sim_version=SIM_VERSION)
-    t_start = time.time()
-    result = System(cfg).run(program)
-    t_end = time.time()
-    if tel is not None:
-        timing = result.timing
-        tel.event("run_end", key=key,
-                  wall_s=round(timing.get("wall_s", 0.0), 6),
-                  sim_wall_s=round(timing.get("sim_wall_s",
-                                              timing.get("wall_s", 0.0)), 6),
-                  load_wall_s=round(timing.get("load_wall_s", 0.0), 6),
-                  level="disk" if timing.get("from_cache") else "fresh",
-                  cycles=result.cycles)
-        tel.span("main", f"{system_name}/{workload_name}@{scale}",
-                 t_start, t_end, key=key)
-    if use_cache:
-        cache.put(key, result)
+
+def run_pair(system_name, workload_name, scale="small", use_cache=True,
+             cache=None, **cfg_overrides):
+    """Simulate one (system, workload) pair under :func:`~repro.soc.preset`
+    overrides; returns a RunResult.  A cached call is a one-request
+    :class:`~repro.experiments.parallel.ParallelRunner` sweep, keyed by the
+    *entire* config, the workload and the simulator version; an uncached
+    call is one :func:`simulate`."""
+    if not use_cache:
+        return simulate(preset(system_name, **cfg_overrides), workload_name,
+                        scale)
+    from repro.experiments.parallel import ParallelRunner, RunRequest
+
+    (result,) = ParallelRunner(cache=cache).run(
+        [RunRequest(system_name, workload_name, scale, cfg_overrides)])
     return result

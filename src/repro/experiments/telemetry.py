@@ -36,12 +36,11 @@ telemetry log reconciles with ``JobQueue.counters`` to the event.
 
 Telemetry is a process-global opt-in, mirroring the cache:
 :func:`enable` installs a sink, :func:`current` is what the cache /
-runner / ``run_pair`` consult (``None`` when disabled — the common case
+runner / job queue consult (``None`` when disabled — the common case
 costs one module-attribute read per branch). Worker processes spawned by
 the parallel runner call :func:`disable` first thing: on fork-start
 platforms they inherit the parent's enabled telemetry, and the parent
-already emits the authoritative run events from the workers' returned
-timing payloads.
+emits each run's events from the worker's returned timing payload.
 """
 
 from __future__ import annotations
@@ -69,9 +68,10 @@ class SweepTelemetry:
 
     # ------------------------------------------------------------- recording
 
-    def event(self, ev, **fields):
-        """Record one event (and append it to the JSONL sink, if any)."""
-        rec = {"ts": round(time.time(), 6), "ev": ev}
+    def event(self, ev, ts=None, **fields):
+        """Record one event, stamped ``ts`` or now (and append it to the
+        JSONL sink, if any)."""
+        rec = {"ts": round(time.time() if ts is None else ts, 6), "ev": ev}
         rec.update(fields)
         self.events.append(rec)
         self.counts[ev] = self.counts.get(ev, 0) + 1

@@ -127,18 +127,17 @@ def simulate_timeline(run_spec, interval=TIMELINE_INTERVAL):
 
     This is the only simulation the artifact layer ever performs, and only
     for submit bodies that request ``timeline`` / ``phases``; the HTTP GET
-    path never reaches here.
+    path never reaches here.  The run goes through
+    :func:`repro.experiments.runner.simulate`, the one recipe every
+    simulation uses, with an :class:`IntervalSampler` attached.
     """
-    from repro.experiments.runner import _program_for
+    from repro.experiments.parallel import RunRequest
+    from repro.experiments.runner import simulate
     from repro.obs import IntervalSampler, Observation
-    from repro.soc import System, preset
-    from repro.workloads import get_workload
 
-    cfg = preset(run_spec["system"], **run_spec.get("overrides", {}))
-    program = _program_for(
-        cfg, get_workload(run_spec["workload"], run_spec["scale"]))
+    req = RunRequest(**run_spec)
     obs = Observation(sampler=IntervalSampler(interval=interval))
-    System(cfg).run(program, obs=obs)
+    simulate(req.config(), req.workload, req.scale, obs=obs)
     return obs.sampler
 
 

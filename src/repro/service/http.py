@@ -251,11 +251,9 @@ class ServiceApp:
             except ValueError as exc:
                 return self._error(handler, 400, f"invalid JSON: {exc}")
             try:
-                runs, artifacts = validate_submit(doc)
+                job, deduped = self.queue.submit(*validate_submit(doc))
             except ValidationError as exc:
                 return self._error(handler, 400, str(exc))
-            try:
-                job, deduped = self.queue.submit(runs, artifacts)
             except RuntimeError as exc:
                 return self._error(handler, 503, str(exc),
                                    hint="the service is draining; retry "

@@ -37,9 +37,11 @@ import threading
 import time
 from collections import deque
 
+from repro.errors import ConfigError
 from repro.experiments import telemetry
-from repro.service.schemas import SERVICE_SCHEMA
+from repro.service.schemas import SERVICE_SCHEMA, ValidationError
 from repro.soc import preset
+from repro.workloads import REGISTRY
 
 #: counter names; each maps 1:1 onto a telemetry event branch
 COUNTERS = ("enqueued", "started", "done", "failed", "retried", "deduped",
@@ -148,11 +150,22 @@ class JobQueue:
             tel.event(ev, job=job.id, **fields)
 
     def keys_for(self, runs):
-        """Config-hash keys for a list of run specs, via the service cache
-        (same hash ``run_pair`` uses, so results land where clients look)."""
-        return [self.cache.key_for(
-            preset(spec["system"], **spec.get("overrides", {})),
-            spec["workload"], spec["scale"]) for spec in runs]
+        """Config-hash keys for a list of run specs, as the runner hashes
+        them.  Raises :class:`ValidationError` for an unknown workload or a
+        config ``preset`` refuses, so that spec is refused at submit."""
+        keys = []
+        for spec in runs:
+            if spec["workload"] not in REGISTRY:
+                raise ValidationError(
+                    f"unknown workload {spec['workload']!r}; "
+                    f"have {sorted(REGISTRY)}")
+            try:
+                cfg = preset(spec["system"], **spec.get("overrides", {}))
+            except (ConfigError, TypeError) as exc:
+                raise ValidationError(str(exc)) from None
+            keys.append(self.cache.key_for(cfg, spec["workload"],
+                                           spec["scale"]))
+        return keys
 
     # ------------------------------------------------------------ submission
 
@@ -160,8 +173,9 @@ class JobQueue:
         """Enqueue one job; returns ``(job, deduped)``.
 
         ``deduped`` is True when an identical in-flight job absorbed the
-        submit.  Raises ``RuntimeError`` once the queue is closed (the
-        HTTP layer turns that into a 503 while draining).
+        submit.  Raises ``ValidationError`` (see :meth:`keys_for`) before
+        anything is queued, and ``RuntimeError`` once the queue is closed
+        (the HTTP layer turns that into a 503 while draining).
         """
         keys = self.keys_for(runs)
         signature = (tuple(sorted(keys)), tuple(artifacts))

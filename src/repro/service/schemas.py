@@ -81,8 +81,10 @@ def _validate_run(spec, where):
         raise ValidationError(f"{where}: scale must be tiny|small|full, "
                               f"got {scale!r}")
     overrides = spec.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ValidationError(f"{where}: 'overrides' must be an object")
+    if not isinstance(overrides, dict) or not isinstance(
+            overrides.get("mem", {}), dict):
+        raise ValidationError(f"{where}: 'overrides' and its 'mem' must be "
+                              f"objects")
     return {"system": spec["system"], "workload": spec["workload"],
             "scale": scale, "overrides": overrides}
 

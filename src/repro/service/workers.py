@@ -12,9 +12,11 @@ The server process never simulates.  Every simulation — the sweep's
 plain runs and the instrumented runs behind ``timeline``/``phases`` —
 goes to one long-lived process pool of ``workers`` processes, so the
 simulations run in parallel instead of taking turns on the server's
-interpreter lock.  The pool's processes fork from a ``forkserver`` that
-imports the simulator once (never from the threaded server itself), and
-start lazily, on the first simulation.
+interpreter lock.  Each is one :func:`repro.experiments.runner.simulate`
+call; the runner alone caches and reports the plain runs.  The pool's
+processes fork from a ``forkserver`` that imports the simulator once
+(never from the threaded server itself), and start lazily, on the first
+simulation.
 
 Failure handling honors the service robustness contract:
 
@@ -189,11 +191,7 @@ class WorkerPool:
         instrumented timeline runs go to the pool first, so they overlap
         the sweep's plain runs."""
         executor = self.executor
-        requests = [RunRequest(system=spec["system"],
-                               workload=spec["workload"],
-                               scale=spec["scale"],
-                               overrides=dict(spec.get("overrides", {})))
-                    for spec in job.runs]
+        requests = [RunRequest(**spec) for spec in job.runs]
         due = {}  # key -> run spec, for each timeline run the job needs
         if self.artifacts is not None:
             due = {key: spec for key, spec in zip(job.keys, job.runs)

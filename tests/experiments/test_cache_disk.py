@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import time
+import warnings
 
 import pytest
 
@@ -118,6 +119,36 @@ def test_corrupt_entry_is_one_counted_miss(tmp_path):
         assert fresh.get(key) is None
     st = fresh.stats()
     assert st["corrupt"] == 1 and st["misses"] == 1 and st["hits"] == 0
+
+
+def test_prune_racing_a_lookup_is_a_plain_miss(tmp_path, monkeypatch):
+    """A prune that removes an entry after a lookup has decided to read
+    it leaves that lookup a plain miss: no warning, nothing counted or
+    reported corrupt.  The existence check is patched to report the
+    pruned entry as present, the interleaving a check-then-open lookup
+    loses."""
+    from repro.experiments import cache as cache_module
+    from repro.experiments import telemetry
+
+    writer = ResultCache(cache_dir=str(tmp_path))
+    [key] = _keys(writer, 1)
+    writer.put(key, _result())
+    path = writer.path_for(key)
+    assert writer.prune(max_bytes=0)["removed"] == 1
+    exists = cache_module.os.path.exists
+    monkeypatch.setattr(cache_module.os.path, "exists",
+                        lambda p: p == path or exists(p))
+    reader = ResultCache(cache_dir=str(tmp_path))
+    tel = telemetry.enable()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reader.get(key) is None
+    finally:
+        telemetry.disable()
+    st = reader.stats()
+    assert (st["corrupt"], st["misses"], st["hits"]) == (0, 1, 0)
+    assert tel.counts == {"cache_miss": 1}
 
 
 # ------------------------------------------------------------ concurrency

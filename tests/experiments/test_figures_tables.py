@@ -1,5 +1,9 @@
 """Smoke tests for the figure/table generators on reduced inputs."""
 
+from types import SimpleNamespace
+
+import pytest
+
 from repro.experiments import figures, tables
 from repro.power import BIG_LEVELS, LITTLE_LEVELS
 
@@ -75,3 +79,48 @@ def test_cli_runs_tables(capsys):
     assert main(["table3"]) == 0
     out = capsys.readouterr().out
     assert "1b-4VL" in out
+
+
+@pytest.mark.parametrize("verb,scales,header", [
+    ("ablate-scaling", {"tiny"}, "== ablate-scaling (scale=tiny) =="),
+    ("ablate-vxu", {"tiny"}, "== ablate-vxu (scale=tiny) =="),
+    ("ablate-coalesce", {"tiny"}, "== ablate-coalesce (scale=tiny) =="),
+    ("ablate-dram", {"tiny"}, "== ablate-dram (scale=tiny) =="),
+    # sweeps two region sizes by design: its header claims no one scale
+    ("ablate-switch", {"tiny", "small"}, "== ablate-switch =="),
+])
+def test_cli_ablations_run_at_the_scale_their_header_names(
+        verb, scales, header, monkeypatch, capsys):
+    """``--scale`` reaches every ablation that runs at one scale, and an
+    ablation's header names a scale only when the sweep ran at it."""
+    from repro.experiments import ablations
+    from repro.experiments.cli import main
+
+    seen = set()
+
+    def stub_sweep(requests, jobs=None):
+        seen.update(r.scale for r in requests.values())
+        return {point: SimpleNamespace(stats={"time_ps": 1000})
+                for point in requests}
+
+    monkeypatch.setattr(ablations, "run_sweep", stub_sweep)
+    assert main([verb, "--scale", "tiny"]) == 0
+    assert seen == scales
+    assert header + "\n" in capsys.readouterr().out
+
+
+def test_cli_ablate_graphs_runs_at_the_requested_scale(monkeypatch, capsys):
+    import repro.workloads
+    from repro.experiments.cli import main
+
+    seen = set()
+    real = repro.workloads.get_workload
+
+    def recording(name, scale="small", **kw):
+        seen.add(scale)
+        return real(name, scale, **kw)
+
+    monkeypatch.setattr(repro.workloads, "get_workload", recording)
+    assert main(["ablate-graphs", "--scale", "tiny"]) == 0
+    assert seen == {"tiny"}
+    assert "== ablate-graphs (scale=tiny) ==\n" in capsys.readouterr().out

@@ -133,8 +133,9 @@ def test_progress_lines_emitted(fresh_cache, capsys):
 
 def test_serial_runner_looks_up_and_stores_each_miss_once(fresh_cache,
                                                           monkeypatch):
-    """The serial path simulates through ``run_pair`` without its cache:
-    the runner's own lookup and store are the only cache calls."""
+    """The serial path simulates through ``runner.simulate``, which
+    touches no cache: the runner's own lookup and store are the only
+    cache calls."""
     puts = []
     real_put = fresh_cache.put
 

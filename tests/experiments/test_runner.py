@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments import clear_cache, run_pair
-from repro.soc import preset
 
 
 def test_run_pair_basic():
@@ -33,11 +32,40 @@ def test_uncached_run_computes_no_key(fresh_cache, monkeypatch):
     assert run_pair("1b", "vvadd", "tiny", use_cache=False).cycles > 0
 
 
+def test_every_simulation_builds_through_the_runner_globals(fresh_cache,
+                                                            monkeypatch):
+    """The runner's serial path, uncached ``run_pair`` and the service's
+    timeline run all simulate through ``simulate``, which looks
+    ``get_workload``, ``_program_for`` and ``System`` up as the runner
+    module's globals: a caller that wraps those names there (perfbench's
+    traced sweep does) sees every trace build and system build."""
+    from repro.experiments import runner
+    from repro.experiments.parallel import ParallelRunner, RunRequest
+    from repro.service.artifacts import simulate_timeline
+
+    seen = []
+
+    def wrap(name):
+        real = getattr(runner, name)
+
+        def wrapper(*args):
+            seen.append(name)
+            return real(*args)
+        monkeypatch.setattr(runner, name, wrapper)
+
+    for name in ("get_workload", "_program_for", "System"):
+        wrap(name)
+    ParallelRunner(jobs=1).run([RunRequest("1b", "vvadd", "tiny")])
+    run_pair("1L", "vvadd", "tiny", use_cache=False)
+    simulate_timeline({"system": "1bDV", "workload": "vvadd",
+                       "scale": "tiny"})
+    assert seen == ["get_workload", "_program_for", "System"] * 3
+
+
 def test_cache_key_includes_frequencies():
     clear_cache()
     a = run_pair("1b", "vvadd", "tiny")
-    cfg = preset("1b").with_freqs(big=1.4)
-    b = run_pair("1b", "vvadd", "tiny", cfg=cfg)
+    b = run_pair("1b", "vvadd", "tiny", freq_big=1.4)
     assert a is not b
     assert b.stats["time_ps"] < a.stats["time_ps"]
 

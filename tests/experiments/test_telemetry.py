@@ -48,6 +48,41 @@ def test_run_pair_emits_run_events(fresh_cache, tel):
     assert ends[0]["cycles"] > 0 and ends[0]["wall_s"] > 0
 
 
+def test_cached_run_pair_is_a_one_request_sweep(fresh_cache, tel):
+    """A cached ``run_pair`` call goes through the runner, so its run
+    events sit inside one ``sweep_start``/``sweep_end`` pair; an uncached
+    call is one bare simulation and emits nothing."""
+    run_pair("1b", "vvadd", "tiny")
+    assert [e["ev"] for e in tel.events] == [
+        "sweep_start", "cache_miss", "run_start", "run_end", "worker_busy",
+        "sweep_end"]
+    assert tel.events[0]["requests"] == 1
+    assert tel.events[-1]["simulated"] == 1
+    run_pair("1b", "vvadd", "tiny", use_cache=False)
+    assert len(tel.events) == 6
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pooled"])
+def test_run_start_carries_its_simulation_start(fresh_cache, tel, jobs):
+    """Every run's ``run_start`` is stamped with the time its simulation
+    started, inline or in a pool worker, so ``run_start``/``run_end``
+    bracket the simulation its ``worker_busy`` span records."""
+    reqs = [RunRequest("1b-4VL", w, "tiny")
+            for w in ("vvadd", "saxpy", "backprop")]
+    ParallelRunner(jobs=jobs, cache=fresh_cache).run(reqs)
+    runs = {}
+    for e in tel.events:
+        if e["ev"] in ("run_start", "run_end", "worker_busy"):
+            runs.setdefault(e["key"], {})[e["ev"]] = e
+    assert len(runs) == 3
+    for evs in runs.values():
+        busy = evs["worker_busy"]
+        assert (busy["worker"] == "main") == (jobs == 1)
+        assert evs["run_start"]["ts"] == pytest.approx(busy["t_start"],
+                                                       abs=1e-6)
+        assert evs["run_end"]["ts"] >= busy["t_end"]
+
+
 def test_run_end_carries_timing_split(fresh_cache, tel):
     run_pair("1b", "vvadd", "tiny")
     (end,) = [e for e in tel.events if e["ev"] == "run_end"]

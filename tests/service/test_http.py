@@ -251,15 +251,30 @@ def test_submit_runs_job_to_done_with_levels(service_app):
 
 
 def test_submit_validation_errors_are_400(service_app):
-    for bad in ({"workload": "vvadd"},
-                {"system": "1b", "workload": "vvadd", "scale": "huge"},
-                {"system": "1b", "workload": "vvadd",
-                 "artifacts": ["stats"]}):
+    """A body off the schema, or a run spec that could never simulate (an
+    unknown system, override field or workload), gets a 400 with the
+    error text at submit, and nothing is queued or journaled."""
+    for bad, text in (
+            ({"workload": "vvadd"}, "'system'"),
+            ({"system": "1b", "workload": "vvadd", "scale": "huge"},
+             "scale"),
+            ({"system": "1b", "workload": "vvadd", "artifacts": ["stats"]},
+             "unknown artifact"),
+            (dict(RUN, system="nope"), "unknown system preset 'nope'"),
+            (dict(RUN, overrides={"bogus": 1}), "'bogus'"),
+            (dict(RUN, overrides={"mem": {"bogus": 1}}), "'bogus'"),
+            (dict(RUN, overrides={"mem": 5}), "'mem' must be"),
+            (dict(RUN, workload="nope"), "unknown workload 'nope'")):
         status, _, raw = req(service_app, "POST", "/v1/runs", bad)
-        assert status == 400
-        assert json.loads(raw)["schema"] == SERVICE_SCHEMA
+        assert status == 400, (bad, raw)
+        doc = json.loads(raw)
+        assert doc["schema"] == SERVICE_SCHEMA
+        assert text in doc["error"]
     status, _, raw = req(service_app, "POST", "/v1/runs", None)
     assert status == 400
+    assert service_app.queue.counters["enqueued"] == 0
+    assert not os.path.exists(
+        os.path.join(service_app.cache_root, "service", "jobs.jsonl"))
 
 
 def test_concurrent_identical_submits_dedup(service_app):
@@ -579,6 +594,81 @@ def _smoke_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+#: a 1-worker service on ``argv[1]`` that runs one job and dies at
+#: ``argv[2]``: when the job's result has landed in the cache but before
+#: ``job_done`` is journaled, or after ``job_start`` is journaled but
+#: before the cache write; ``os._exit`` runs no clean-up, like a SIGKILL
+_DYING_SERVER = """
+import os
+import sys
+
+from repro.experiments.cache import ResultCache
+from repro.service import ServiceApp
+from repro.service.jobs import JobQueue
+
+
+def die(*args, **kwargs):
+    os._exit(17)
+
+
+if __name__ == "__main__":
+    root, point = sys.argv[1], sys.argv[2]
+    if point == "before-job-done":
+        JobQueue.complete = die
+    else:
+        ResultCache.put = die
+    app = ServiceApp(cache_root=root, port=0, workers=1)
+    job, _ = app.queue.submit([%r])
+    app.start()
+    app.queue.wait(job.id, 60)
+    sys.exit(3)  # the job ended: the hook never fired
+""" % dict(RUN, overrides={})
+
+
+@pytest.mark.parametrize("point,level,simulations",
+                         [("before-job-done", "disk", 0),
+                          ("before-cache-write", "fresh", 1)])
+def test_a_server_killed_mid_job_ends_it_exactly_once(
+        tmp_path, run_spy, point, level, simulations):
+    """A server that dies between a job's journal lines and its cache
+    write: the restart on the same root recovers the job once and ends
+    it ``done``, from the disk cache if the result had landed, else by
+    simulating it once; the journal holds one terminal line for it, and
+    no temp file is left anywhere under the root."""
+    from repro.service import ServiceApp
+
+    root = str(tmp_path / "svc")
+    script = tmp_path / "dying_server.py"
+    script.write_text(_DYING_SERVER)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(script), root, point],
+                          env=env, timeout=120, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    assert proc.returncode == 17
+    journal = os.path.join(root, "service", "jobs.jsonl")
+    with open(journal) as f:
+        assert [json.loads(line)["ev"] for line in f] == [
+            "job_enqueued", "job_start"]
+    app = ServiceApp(cache_root=root, port=0, workers=1).start()
+    try:
+        assert app.queue.counters["recovered"] == 1
+        [job] = app.queue.jobs()
+        record = app.queue.wait(job.id, 60)
+    finally:
+        app.stop(drain=True)
+    assert record["state"] == "done"
+    assert record["levels"] == {record["keys"][0]: level}
+    assert app.queue.counters["started"] == 1
+    assert run_spy["pool"] == simulations
+    with open(journal) as f:
+        ends = [json.loads(line)["ev"] for line in f]
+    assert [ev for ev in ends if ev in ("job_done", "job_failed")] == [
+        "job_done"]
+    assert [fn for _, _, files in os.walk(root) for fn in files
+            if fn.endswith(".tmp")] == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"),

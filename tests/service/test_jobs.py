@@ -19,6 +19,10 @@ from repro.service.workers import WorkerPool
 
 RUN = {"system": "1b", "workload": "vvadd", "scale": "tiny",
        "overrides": {}}
+#: a spec that passes submit (``preset`` accepts it) but fails in the
+#: pool on every attempt: the VLITTLE engine refuses four chimes
+POISON = {"system": "1b-4VL", "workload": "vvadd", "scale": "tiny",
+          "overrides": {"chimes": 4}}
 
 
 def make_queue(tmp_path, journal=False):
@@ -271,11 +275,10 @@ def test_worker_pool_retries_then_fails_poisoned_job(tmp_path):
         sleeps = []
         pool = WorkerPool(q, workers=1, max_retries=2, backoff_s=0.05,
                           backoff_cap_s=0.08, sleep=sleeps.append).start()
-        job, _ = q.submit([{"system": "1b", "workload": "no-such-workload",
-                            "scale": "tiny", "overrides": {}}])
+        job, _ = q.submit([dict(POISON)])
         pool.stop(drain=True)
         assert job.state == "failed" and job.retries == 2
-        assert "no-such-workload" in job.error
+        assert "chimes must be 1" in job.error
         # capped exponential backoff: 0.05, then min(0.1, cap=0.08)
         assert sleeps == [pytest.approx(0.05), pytest.approx(0.08)]
         c = q.counters
@@ -289,8 +292,7 @@ def test_worker_pool_retries_then_fails_poisoned_job(tmp_path):
 def test_worker_pool_isolates_a_poisoned_neighbour(tmp_path):
     q = make_queue(tmp_path)
     good, _ = q.submit([dict(RUN)])
-    bad, _ = q.submit([{"system": "1b", "workload": "no-such-workload",
-                        "scale": "tiny", "overrides": {}}])
+    bad, _ = q.submit([dict(POISON)])
     # start AFTER both are queued, so one worker claims them back to back
     pool = WorkerPool(q, workers=1, max_retries=0,
                       backoff_s=0.001).start()

@@ -49,24 +49,22 @@ def test_vlittle_tracks_little_cluster_frequency():
     # fully-vectorized kernel: little frequency dominates, big is irrelevant
     t_b = {}
     for fb in (0.8, 1.4):
-        cfg = preset("1b-4VL").with_freqs(big=fb, little=1.0)
-        t_b[fb] = run_pair("1b-4VL", "vvadd", "tiny", cfg=cfg).stats["time_ps"]
+        t_b[fb] = run_pair("1b-4VL", "vvadd", "tiny", freq_big=fb,
+                           freq_little=1.0).stats["time_ps"]
     assert t_b[0.8] / t_b[1.4] < 1.10  # paper Fig. 9's flat rows
 
     t_l = {}
     for fl in (0.6, 1.2):
-        cfg = preset("1b-4VL").with_freqs(big=1.0, little=fl)
-        t_l[fl] = run_pair("1b-4VL", "vvadd", "tiny", cfg=cfg).stats["time_ps"]
+        t_l[fl] = run_pair("1b-4VL", "vvadd", "tiny", freq_big=1.0,
+                           freq_little=fl).stats["time_ps"]
     assert t_l[0.6] / t_l[1.2] > 1.4  # strong little-cluster sensitivity
 
 
 def test_sw_responds_to_big_core_boost():
     # sw is only ~69% vectorized: its scalar traceback runs on the big core
     def gain(w):
-        slow = run_pair("1b-4VL", w, "tiny",
-                        cfg=preset("1b-4VL").with_freqs(big=0.8)).stats["time_ps"]
-        fast = run_pair("1b-4VL", w, "tiny",
-                        cfg=preset("1b-4VL").with_freqs(big=1.4)).stats["time_ps"]
+        slow = run_pair("1b-4VL", w, "tiny", freq_big=0.8).stats["time_ps"]
+        fast = run_pair("1b-4VL", w, "tiny", freq_big=1.4).stats["time_ps"]
         return slow / fast
 
     assert gain("sw") > gain("vvadd") + 0.05
@@ -77,15 +75,15 @@ def test_ivu_system_responds_to_big_boost():
     # (streaming kernels would be DRAM-bound and insensitive — the memory
     # system stays at 1 GHz under cluster scaling)
     slow = run_pair("1bIV", "blackscholes", "tiny",
-                    cfg=preset("1bIV").with_freqs(big=0.8)).stats["time_ps"]
+                    freq_big=0.8).stats["time_ps"]
     fast = run_pair("1bIV", "blackscholes", "tiny",
-                    cfg=preset("1bIV").with_freqs(big=1.4)).stats["time_ps"]
+                    freq_big=1.4).stats["time_ps"]
     assert slow / fast > 1.2
 
 
 def test_dve_clocked_with_big_cluster():
     slow = run_pair("1bDV", "blackscholes", "tiny",
-                    cfg=preset("1bDV").with_freqs(big=0.8)).stats["time_ps"]
+                    freq_big=0.8).stats["time_ps"]
     fast = run_pair("1bDV", "blackscholes", "tiny",
-                    cfg=preset("1bDV").with_freqs(big=1.4)).stats["time_ps"]
+                    freq_big=1.4).stats["time_ps"]
     assert slow / fast > 1.15  # the engine speeds up with its control core

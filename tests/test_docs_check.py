@@ -42,8 +42,9 @@ def test_stale_import_reports_exactly_the_missing_name():
 
 def test_serve_flags_the_cli_lacks_are_reported(tmp_path):
     """A flag ``bigvlittle serve`` does not accept fails the lint when a
-    doc shows it on a bracketed continuation line of a usage synopsis or
-    in the serve flag table of ``docs/service.md``."""
+    doc shows it on a bracketed continuation line of a usage synopsis,
+    reported at the flag's own line, or in the serve flag table of
+    ``docs/service.md``."""
     docs_check = _docs_check()
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "service.md").write_text(
@@ -57,7 +58,7 @@ def test_serve_flags_the_cli_lacks_are_reported(tmp_path):
         "| `--port` | `8421` | TCP port |\n"
         "| `--gone` | `4` | a flag the CLI dropped |\n")
     problems = docs_check.check_docs(str(tmp_path))
-    assert ("docs/service.md:2: 'bigvlittle serve' does not accept "
+    assert ("docs/service.md:3: 'bigvlittle serve' does not accept "
             "'--no-such-flag'") in problems
     assert ("docs/service.md:9: the flag table lists '--gone', which "
             "'bigvlittle serve' does not accept") in problems

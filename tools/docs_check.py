@@ -93,24 +93,30 @@ def _continues(code, following):
 
 
 def commands_in(text):
-    """Yield (line_number, [token, ...]) for every bigvlittle invocation."""
+    """Yield ``[(line_number, token), ...]`` for every bigvlittle
+    invocation, each token with the number of the line it sits on."""
     lines = list(code_lines(text))
     for idx, (lineno, code, fenced) in enumerate(lines):
-        # join continuation lines within fenced blocks, without comments
+        # join continuation lines within fenced blocks, without comments,
+        # noting where in the joined text each line starts
+        starts = [(0, lineno)]
         while (fenced and idx + 1 < len(lines) and lines[idx + 1][2]
                and lines[idx + 1][0] == lines[idx][0] + 1
                and _continues(code, lines[idx + 1][1])):
             idx += 1
-            code = (re.split(r"\s#", code.rstrip().rstrip("\\"))[0]
-                    + " " + re.split(r"\s#", lines[idx][1])[0])
+            code = re.split(r"\s#", code.rstrip().rstrip("\\"))[0] + " "
+            starts.append((len(code), lines[idx][0]))
+            code += re.split(r"\s#", lines[idx][1])[0]
         for m in re.finditer(r"\bbigvlittle\s+(.*)", code):
             tokens = []
-            for tok in m.group(1).split():
-                if tok in SHELL_OPERATORS:
+            for t in re.finditer(r"\S+", m.group(1)):
+                if t.group() in SHELL_OPERATORS:
                     break
-                tokens.append(tok.strip("[](),'\""))
+                at = m.start(1) + t.start()
+                line = [n for start, n in starts if start <= at][-1]
+                tokens.append((line, t.group().strip("[](),'\"")))
             if tokens:
-                yield lineno, tokens
+                yield tokens
 
 
 def missing_paths(root, text):
@@ -218,8 +224,8 @@ def check_docs(root):
         for lineno, missing in stale_imports(text):
             problems.append(f"{rel}:{lineno}: imports {missing!r}, which "
                             f"does not exist")
-        for lineno, tokens in commands_in(text):
-            verb = tokens[0]
+        for tokens in commands_in(text):
+            lineno, verb = tokens[0]
             if PLACEHOLDER_CHARS & set(verb):
                 continue
             if verb in registry and verb:
@@ -229,13 +235,14 @@ def check_docs(root):
                 parser = registry[""]
             elif verb.startswith("--"):
                 parser = registry[""]
-                tokens = [None] + tokens  # flags straight after `bigvlittle`
+                # flags straight after `bigvlittle`
+                tokens = [(lineno, None)] + tokens
             else:
                 problems.append(f"{rel}:{lineno}: unknown bigvlittle verb "
                                 f"{verb!r}")
                 continue
             allowed = parser_flags(parser)
-            for tok in tokens[1:]:
+            for tok_line, tok in tokens[1:]:
                 if tok is None or not tok.startswith("--"):
                     continue
                 flag = tok.split("=", 1)[0]
@@ -243,7 +250,7 @@ def check_docs(root):
                     continue
                 if flag not in allowed:
                     problems.append(
-                        f"{rel}:{lineno}: 'bigvlittle {verb}' does not "
+                        f"{rel}:{tok_line}: 'bigvlittle {verb}' does not "
                         f"accept {flag!r}")
 
     for verb in NAMED_VERBS:
