@@ -54,12 +54,10 @@ Observability (see ``docs/observability.md``):
   horizon (or at completion). The same report rides on every
   ``DeadlockError`` as ``err.forensics``.
 * ``bigvlittle diff a.json b.json [--gate]`` — classified stat diff of two
-  run dumps; under ``--gate`` any exact mismatch or out-of-tolerance
-  timing delta exits nonzero (the CI regression gate). ``--tolerances``
-  loads a per-stat-family tolerance schema (see
-  ``benchmarks/diff_tolerances.json``) in place of the flat ``--rel-tol``;
-  ``--timeline`` diffs two timeline dumps instead, localizing the first
-  out-of-tolerance cycle per column.
+  run dumps; under ``--gate`` any delta in a non-meta stat exits 1 (the
+  CI determinism gate). ``--timeline`` diffs two timeline dumps instead,
+  localizing the first differing cycle per column. A file that does not
+  load as the mode's kind of dump exits 2.
 
 The eight single-run verbs above, ``trace`` through ``inspect``, share
 one parser builder and one main, and always simulate fresh: they never
@@ -477,17 +475,10 @@ def _diff_parser():
     ap.add_argument("--timeline", action="store_true",
                     help="inputs are bigvlittle-timeline-v1 dumps; align "
                          "rows on cycle values and report where each column "
-                         "first leaves tolerance")
+                         "first differs")
     ap.add_argument("--gate", action="store_true",
-                    help="exit nonzero on any exact mismatch, missing "
-                         "non-obs key, or out-of-tolerance timing delta")
-    ap.add_argument("--rel-tol", type=float, default=0.0, metavar="FRAC",
-                    help="flat relative tolerance for timing-class deltas "
-                         "(default: 0.0 — bit-identical)")
-    ap.add_argument("--tolerances", default=None, metavar="PATH",
-                    help="bigvlittle-tolerances-v1 JSON of per-stat-family "
-                         "tolerances (e.g. benchmarks/diff_tolerances.json); "
-                         "overrides --rel-tol")
+                    help="exit 1 on any delta in a non-meta stat or "
+                         "timeline column, or a missing non-obs key")
     ap.add_argument("--top", type=int, default=25, metavar="N",
                     help="show at most N deltas (default: 25)")
     return ap
@@ -496,27 +487,30 @@ def _diff_parser():
 def _diff_main(argv):
     args = _diff_parser().parse_args(argv)
 
-    from repro.obs.diff import ToleranceSchema, diff_files, diff_timeline_files
+    from repro.obs.diff import diff_stats, diff_timelines, load_dump
+    from repro.obs.sampler import load_timeline
 
-    tol = ToleranceSchema.load(args.tolerances) if args.tolerances else None
     if args.timeline:
-        if tol is None and args.rel_tol:
-            tol = ToleranceSchema(default_rel_tol=args.rel_tol, name="flat")
-        report = diff_timeline_files(args.a, args.b, tolerances=tol)
+        load, hint = load_timeline, "run dumps are diffed without --timeline"
+    else:
+        load, hint = load_dump, "timeline dumps are diffed with --timeline"
+    try:
+        a, b = load(args.a), load(args.b)
+    except (OSError, ValueError) as exc:
+        print(f"bigvlittle diff: {exc} ({hint})", file=sys.stderr)
+        return 2
+    if args.timeline:
+        report = diff_timelines(a, b, a_name=args.a, b_name=args.b)
         print(report.format_table(top=args.top))
-        if args.gate and not report.ok():
-            print(f"GATE FAILED: {len(report.diverged())} columns out of "
-                  f"tolerance")
+        if args.gate and not report.ok:
+            print(f"GATE FAILED: {len(report.diverged())} columns differ")
             return 1
         return 0
-    report = diff_files(args.a, args.b)
-    print(report.format_table(top=args.top, rel_tol=args.rel_tol,
-                              tolerances=tol))
-    if args.gate and not report.ok(args.rel_tol, tolerances=tol):
-        n = (len(report.regressions(args.rel_tol, tolerances=tol))
-             + len(report._gated_missing()))
-        policy = f"tolerances={tol.name}" if tol else f"rel_tol={args.rel_tol}"
-        print(f"GATE FAILED: {n} gated deltas ({policy})")
+    report = diff_stats(a[1], b[1], a[0], b[0])
+    print(report.format_table(top=args.top))
+    if args.gate and not report.ok:
+        n = len(report.regressions()) + len(report._gated_missing())
+        print(f"GATE FAILED: {n} gated deltas")
         return 1
     return 0
 

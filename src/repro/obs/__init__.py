@@ -45,17 +45,16 @@ Two analysis layers consume those series after the run:
   segments a sampled timeline into the paper's scalar / mode-switch /
   vector-burst / drain phases, each carrying its stall mix and energy.
 * :mod:`repro.obs.diff` compares the canonical stat dumps of two runs
-  with exact/timing/meta delta classification (gated per stat family by
-  a :class:`~repro.obs.diff.ToleranceSchema`), aligns two timeline dumps
-  cycle-for-cycle (:func:`~repro.obs.diff.diff_timelines`) to localize
-  where runs first diverge, and drives the CLI's ``bigvlittle diff
-  --gate`` regression gate.
+  with exact/meta delta classification (every non-meta delta gates),
+  aligns two timeline dumps cycle-for-cycle
+  (:func:`~repro.obs.diff.diff_timelines`) to localize where runs first
+  diverge, and drives the CLI's ``bigvlittle diff --gate`` regression
+  gate.
 """
 
 from repro.obs.diff import (
     DiffReport,
     TimelineDiffReport,
-    ToleranceSchema,
     classify,
     diff_files,
     diff_stats,
@@ -80,6 +79,6 @@ __all__ = [
     "PipeView", "IntervalSampler", "load_timeline",
     "PhaseReport", "PhaseThresholds", "detect_phases",
     "DiffReport", "classify", "diff_files", "diff_stats", "dump_result",
-    "ToleranceSchema", "TimelineDiffReport",
+    "TimelineDiffReport",
     "diff_timelines", "diff_timeline_files",
 ]

@@ -5,41 +5,30 @@ A run dump is the canonical machine-readable outcome of one simulation:
 ``bigvlittle profile --json``) — a flat ``stats`` mapping of deterministic
 integers. This module diffs two such dumps and *classifies* every delta:
 
-* **exact** — structural facts of the simulated trace (instruction and
-  µop counts, cache/DRAM access counts, ``obs.metric.*`` instruments).
-  These must be bit-identical between runs of the same configuration on
-  any simulator version; any delta is a regression.
-* **timing** — quantities measured in cycles or picoseconds (``time_ps``,
-  stall breakdowns, ``obs.cycles.*``, latency histograms). A relative
-  tolerance applies, so an intentional timing refinement can pass the
-  gate while a silent cycle-count change fails.
+* **exact** — every stat of the simulated outcome: instruction and µop
+  counts, cache/DRAM access counts, ``time_ps`` and the cycle counts,
+  stall breakdowns, ``obs.cycles.*`` and ``obs.metric.*`` instruments.
+  Every paper figure is a function of these, so they must be
+  bit-identical between runs of the same configuration; any delta is a
+  regression.
 * **meta** — simulator/observability bookkeeping (``sim.ticks_*``
   executed/skipped tick accounting, trace event counts, pipeview window
   accounting, sampler sample counts). Reported, never gated: the
   quiescence-skipping scheduler changes how many loop iterations run
   without changing the simulated outcome.
 
-Timing tolerance comes in two granularities. The quick knob is a single
-``rel_tol`` applied to every timing delta (CLI ``--rel-tol``). The
-precise knob is a :class:`ToleranceSchema` (``bigvlittle-tolerances-v1``
-JSON, CLI ``--tolerances``): named stat *families* — ordered match rules
-over key names — each carrying its own relative tolerance, so a CI gate
-can allow small drift in stall attribution while holding end-to-end time
-and instruction counts bit-exact. The checked-in policy lives at
-``benchmarks/diff_tolerances.json``.
-
 Beyond scalar run dumps, :func:`diff_timelines` compares two
 ``bigvlittle-timeline-v1`` interval dumps (``bigvlittle timeline``):
 rows are aligned on their ``cycle`` values (not array position, so a
-prefix that merely shifted still lines up), every shared column is
-compared under its tolerance family, and the report localizes *where*
-the runs first diverge — the earliest out-of-tolerance cycle per column
-and overall — instead of only saying that end-of-run totals moved.
+prefix that merely shifted still lines up), every shared column must
+match exactly, and the report localizes *where* the runs first diverge
+— the earliest differing cycle per column and overall — instead of only
+saying that end-of-run totals moved.
 
 ``bigvlittle diff a.json b.json [--gate]`` wraps this for the CLI and CI:
-identical runs exit 0; under ``--gate`` any exact mismatch or
-out-of-tolerance timing delta exits nonzero. ``bigvlittle diff
---timeline a.json b.json`` switches to timeline mode.
+identical runs exit 0; under ``--gate`` any delta in a non-meta stat
+exits 1. ``bigvlittle diff --timeline a.json b.json`` switches to
+timeline mode.
 """
 
 from __future__ import annotations
@@ -47,13 +36,10 @@ from __future__ import annotations
 import json
 
 EXACT = "exact"
-TIMING = "timing"
 META = "meta"
 
 RUN_DUMP_SCHEMA = "bigvlittle-run-v1"
 
-#: stats-key prefixes/fragments that denote cycle-denominated quantities
-_TIMING_KEYS = frozenset(("time_ps", "cycles_1ghz", "dram_busy_cycles"))
 _META_PREFIXES = ("obs.trace.", "obs.pipeview.", "obs.sampler.", "sim.ticks_",
                   # scheduler-shaped bookkeeping: the forced-scalar
                   # differential arm never enters batch mode
@@ -61,105 +47,8 @@ _META_PREFIXES = ("obs.trace.", "obs.pipeview.", "obs.sampler.", "sim.ticks_",
 
 
 def classify(key):
-    """Classify one stats key as ``exact`` | ``timing`` | ``meta``."""
-    for p in _META_PREFIXES:
-        if key.startswith(p):
-            return META
-    if key in _TIMING_KEYS:
-        return TIMING
-    if key.startswith("obs.cycles."):
-        return TIMING
-    if ".stall." in key or ".lane_stall." in key:
-        return TIMING
-    if "latency" in key or key.endswith("_ps"):
-        return TIMING
-    # everything else is a structural fact of the simulated trace
-    return EXACT
-
-
-TOLERANCES_SCHEMA = "bigvlittle-tolerances-v1"
-
-
-class ToleranceFamily:
-    """One named match rule: keys it covers and the tolerance they get."""
-
-    __slots__ = ("name", "rel_tol", "keys", "prefixes", "contains")
-
-    def __init__(self, name, rel_tol=0.0, keys=(), prefixes=(), contains=()):
-        if rel_tol < 0:
-            raise ValueError(f"family {name!r}: rel_tol must be >= 0")
-        self.name = name
-        self.rel_tol = float(rel_tol)
-        self.keys = frozenset(keys)
-        self.prefixes = tuple(prefixes)
-        self.contains = tuple(contains)
-
-    def matches(self, key):
-        return (key in self.keys
-                or any(key.startswith(p) for p in self.prefixes)
-                or any(s in key for s in self.contains))
-
-    def as_dict(self):
-        doc = {"name": self.name, "rel_tol": self.rel_tol}
-        if self.keys:
-            doc["keys"] = sorted(self.keys)
-        if self.prefixes:
-            doc["prefixes"] = list(self.prefixes)
-        if self.contains:
-            doc["contains"] = list(self.contains)
-        return doc
-
-
-class ToleranceSchema:
-    """Ordered per-stat-family relative tolerances (first match wins).
-
-    Replaces the single global ``--rel-tol`` for gating: every stats key
-    or timeline column resolves to the first :class:`ToleranceFamily`
-    whose rule matches it, falling back to ``default_rel_tol``. A family
-    only *loosens or tightens the timing gate* — exact-class stats keys
-    stay bit-exact regardless (a tolerance on instruction counts would be
-    a category error, not a policy).
-    """
-
-    def __init__(self, families=(), default_rel_tol=0.0, name="tolerances"):
-        self.name = name
-        self.default_rel_tol = float(default_rel_tol)
-        self.families = [f if isinstance(f, ToleranceFamily)
-                         else ToleranceFamily(**f) for f in families]
-
-    def family_for(self, key):
-        """``(family_name, rel_tol)`` for one key; name is None on fallback."""
-        for fam in self.families:
-            if fam.matches(key):
-                return fam.name, fam.rel_tol
-        return None, self.default_rel_tol
-
-    def rel_tol_for(self, key):
-        return self.family_for(key)[1]
-
-    def as_dict(self):
-        return {
-            "schema": TOLERANCES_SCHEMA,
-            "name": self.name,
-            "default_rel_tol": self.default_rel_tol,
-            "families": [f.as_dict() for f in self.families],
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ValueError("tolerance schema: expected a JSON object")
-        schema = doc.get("schema")
-        if schema is not None and schema != TOLERANCES_SCHEMA:
-            raise ValueError(f"unsupported tolerance schema {schema!r}")
-        return cls(families=doc.get("families", ()),
-                   default_rel_tol=doc.get("default_rel_tol", 0.0),
-                   name=doc.get("name", "tolerances"))
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+    """Classify one stats key as ``exact`` | ``meta``."""
+    return META if key.startswith(_META_PREFIXES) else EXACT
 
 
 class Delta:
@@ -193,7 +82,9 @@ class DiffReport:
         self.only_a = only_a  # keys present only in dump a
         self.only_b = only_b  # keys present only in dump b
 
+    @property
     def identical(self):
+        """No delta and no one-sided key, META included."""
         return not self.deltas and not self.only_a and not self.only_b
 
     def _gated_missing(self):
@@ -204,57 +95,40 @@ class DiffReport:
         return [k for k in self.only_a + self.only_b
                 if not k.startswith("obs.") and classify(k) != META]
 
-    def _tol_for(self, key, rel_tol, tolerances):
-        return tolerances.rel_tol_for(key) if tolerances is not None else rel_tol
-
-    def regressions(self, rel_tol=0.0, tolerances=None):
-        """Deltas that fail the gate.
-
-        Timing-class deltas are gated at ``tolerances.rel_tol_for(key)``
-        when a :class:`ToleranceSchema` is given, else at the flat
-        ``rel_tol``. Exact-class deltas always gate.
-        """
-        out = [d for d in self.deltas
-               if d.kind == EXACT
-               or (d.kind == TIMING
-                   and d.rel > self._tol_for(d.key, rel_tol, tolerances))]
+    def regressions(self):
+        """Deltas that fail the gate (every exact-class one), largest
+        relative change first."""
+        out = [d for d in self.deltas if d.kind == EXACT]
         out.sort(key=lambda d: (-d.rel, d.key))
         return out
 
-    def ok(self, rel_tol=0.0, tolerances=None):
-        return (not self.regressions(rel_tol, tolerances)
-                and not self._gated_missing())
+    @property
+    def ok(self):
+        """The gate passes: no exact-class delta, no gated missing key."""
+        return not self.regressions() and not self._gated_missing()
 
     def counts(self):
-        c = {EXACT: 0, TIMING: 0, META: 0}
+        c = {EXACT: 0, META: 0}
         for d in self.deltas:
             c[d.kind] += 1
         return c
 
     # ------------------------------------------------------------- rendering
 
-    def format_table(self, top=25, rel_tol=0.0, tolerances=None):
+    def format_table(self, top=25):
         lines = [f"diff: {self.a_name}  vs  {self.b_name}"]
-        if tolerances is not None:
-            lines.append(f"tolerances: {tolerances.name} "
-                         f"({len(tolerances.families)} families, "
-                         f"default rel_tol={tolerances.default_rel_tol})")
-        if self.identical():
+        if self.identical:
             lines.append("identical: 0 deltas")
             return "\n".join(lines)
         c = self.counts()
         lines.append(f"{len(self.deltas)} differing keys "
-                     f"({c[EXACT]} exact, {c[TIMING]} timing, {c[META]} meta); "
+                     f"({c[EXACT]} gated, {c[META]} meta); "
                      f"{len(self.only_a)} only in a, {len(self.only_b)} only in b")
         hdr = f"{'key':<44} {'class':<7} {'a':>14} {'b':>14} {'rel':>8}"
         lines += [hdr, "-" * len(hdr)]
         shown = sorted(self.deltas, key=lambda d: (-d.rel, d.key))[:top]
         for d in shown:
-            flag = ""
-            if d.kind == EXACT or (d.kind == TIMING and
-                                   d.rel > self._tol_for(d.key, rel_tol,
-                                                         tolerances)):
-                flag = "  <- gate"
+            flag = "  <- gate" if d.kind == EXACT else ""
             lines.append(f"{d.key:<44} {d.kind:<7} {d.a:>14} {d.b:>14} "
                          f"{d.rel:>7.2%}{flag}")
         if len(self.deltas) > top:
@@ -297,12 +171,20 @@ def load_dump(path):
     """Load a run dump; returns ``(display_name, stats_dict)``.
 
     Accepts the canonical run-dump schema, ``RunResult.to_dict()`` output,
-    ``bigvlittle profile --json`` output, or a bare flat stats mapping.
+    ``bigvlittle profile --json`` output, or a bare flat stats mapping;
+    refuses any other ``schema`` (a timeline dump, say).
     """
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    schema = doc.get("schema", RUN_DUMP_SCHEMA)
+    if schema != RUN_DUMP_SCHEMA:
+        raise ValueError(f"{path}: a {schema!r} document, not a "
+                         f"{RUN_DUMP_SCHEMA} run dump")
     stats = doc.get("stats", doc)
     if not isinstance(stats, dict) or not stats:
         raise ValueError(f"{path}: no 'stats' mapping found")
@@ -326,36 +208,32 @@ def diff_files(path_a, path_b):
 class ColumnDiff:
     """Comparison of one timeline column over the aligned cycle range."""
 
-    __slots__ = ("column", "family", "rel_tol", "n_compared", "n_diverged",
-                 "first_cycle", "max_rel", "max_rel_cycle")
+    __slots__ = ("column", "n_compared", "n_diverged", "first_cycle",
+                 "max_rel", "max_rel_cycle")
 
-    def __init__(self, column, family, rel_tol):
+    def __init__(self, column):
         self.column = column
-        self.family = family       # tolerance-family name, or None
-        self.rel_tol = rel_tol
         self.n_compared = 0
-        self.n_diverged = 0        # rows where rel > rel_tol
-        self.first_cycle = None    # cycle of the first out-of-tolerance row
+        self.n_diverged = 0        # rows whose values differ
+        self.first_cycle = None    # cycle of the first differing row
         self.max_rel = 0.0
         self.max_rel_cycle = None
 
     def compare(self, cycle, va, vb):
         self.n_compared += 1
-        denom = max(abs(va), abs(vb))
-        rel = abs(va - vb) / denom if denom else 0.0
+        if va == vb:
+            return
+        self.n_diverged += 1
+        if self.first_cycle is None:
+            self.first_cycle = cycle
+        rel = abs(va - vb) / max(abs(va), abs(vb))
         if rel > self.max_rel:
             self.max_rel = rel
             self.max_rel_cycle = cycle
-        if rel > self.rel_tol:
-            self.n_diverged += 1
-            if self.first_cycle is None:
-                self.first_cycle = cycle
 
     def as_dict(self):
         return {
             "column": self.column,
-            "family": self.family,
-            "rel_tol": self.rel_tol,
             "n_compared": self.n_compared,
             "n_diverged": self.n_diverged,
             "first_cycle": self.first_cycle,
@@ -380,19 +258,22 @@ class TimelineDiffReport:
         self.cols_only_b = cols_only_b
 
     def diverged(self):
-        """Columns with at least one out-of-tolerance row, worst first."""
+        """Columns with at least one differing row, worst first."""
         out = [c for c in self.columns.values() if c.n_diverged]
         out.sort(key=lambda c: (-c.max_rel, c.column))
         return out
 
     def first_divergence(self):
-        """``(cycle, column)`` of the earliest out-of-tolerance sample,
-        or None when every aligned sample is within tolerance."""
+        """``(cycle, column)`` of the earliest differing sample, or None
+        when every aligned sample matches."""
         firsts = [(c.first_cycle, c.column) for c in self.columns.values()
                   if c.first_cycle is not None]
         return min(firsts) if firsts else None
 
+    @property
     def ok(self):
+        """The gate passes: some rows align and every aligned sample of
+        every shared column matches exactly."""
         return self.n_aligned > 0 and not self.diverged()
 
     def as_dict(self):
@@ -423,32 +304,31 @@ class TimelineDiffReport:
                              + ", ".join(cols))
         bad = self.diverged()
         if not bad:
-            lines.append(f"all {len(self.columns)} shared columns within "
-                         f"tolerance")
+            lines.append(f"identical: all {len(self.columns)} shared "
+                         f"columns match on every aligned row")
             return "\n".join(lines)
         first = self.first_divergence()
         lines.append(f"FIRST DIVERGENCE at cycle {first[0]} "
                      f"(column {first[1]})")
-        hdr = (f"{'column':<18} {'family':<12} {'tol':>8} {'diverged':>12} "
-               f"{'first@cyc':>10} {'max rel':>9} {'@cyc':>9}")
+        hdr = (f"{'column':<18} {'diverged':>12} {'first@cyc':>10} "
+               f"{'max rel':>9} {'@cyc':>9}")
         lines += [hdr, "-" * len(hdr)]
         for c in bad[:top]:
             lines.append(
-                f"{c.column:<18} {c.family or '-':<12} {c.rel_tol:>8.2g} "
-                f"{c.n_diverged:>5}/{c.n_compared:<6} {c.first_cycle:>10} "
-                f"{c.max_rel:>8.2%} {c.max_rel_cycle:>9}")
+                f"{c.column:<18} {c.n_diverged:>5}/{c.n_compared:<6} "
+                f"{c.first_cycle:>10} {c.max_rel:>8.2%} {c.max_rel_cycle:>9}")
         if len(bad) > top:
             lines.append(f"... and {len(bad) - top} more columns")
         return "\n".join(lines)
 
 
-def diff_timelines(a_doc, b_doc, tolerances=None, a_name="a", b_name="b"):
+def diff_timelines(a_doc, b_doc, a_name="a", b_name="b"):
     """Compare two timeline dumps into a :class:`TimelineDiffReport`.
 
     Rows are aligned on their ``cycle`` column values — not on array
     position — so a run whose later intervals shifted still compares its
     common prefix sample-for-sample, and the report pinpoints the first
-    cycle at which any column leaves its tolerance family's band.
+    cycle at which any shared column differs.
     """
     for side, doc in (("a", a_doc), ("b", b_doc)):
         schema = doc.get("schema")
@@ -459,7 +339,6 @@ def diff_timelines(a_doc, b_doc, tolerances=None, a_name="a", b_name="b"):
     if ia != ib:
         raise ValueError(f"cannot align timelines sampled at different "
                          f"intervals ({ia} vs {ib} cycles)")
-    tol = tolerances or ToleranceSchema()
     sa, sb = a_doc["series"], b_doc["series"]
     cols_a = [c for c in a_doc["columns"] if c != "cycle"]
     cols_b = set(b_doc["columns"]) - {"cycle"}
@@ -472,10 +351,7 @@ def diff_timelines(a_doc, b_doc, tolerances=None, a_name="a", b_name="b"):
     idx_b = {cyc: i for i, cyc in enumerate(sb["cycle"])}
     aligned = sorted(set(idx_a) & set(idx_b))
 
-    columns = {}
-    for c in shared:
-        fam, rel_tol = tol.family_for(c)
-        columns[c] = ColumnDiff(c, fam, rel_tol)
+    columns = {c: ColumnDiff(c) for c in shared}
     for cyc in aligned:
         i, j = idx_a[cyc], idx_b[cyc]
         for c in shared:
@@ -489,9 +365,9 @@ def diff_timelines(a_doc, b_doc, tolerances=None, a_name="a", b_name="b"):
         cols_only_a=cols_only_a, cols_only_b=cols_only_b)
 
 
-def diff_timeline_files(path_a, path_b, tolerances=None):
+def diff_timeline_files(path_a, path_b):
     """Diff two timeline-dump files into a :class:`TimelineDiffReport`."""
     from repro.obs.sampler import load_timeline
 
     return diff_timelines(load_timeline(path_a), load_timeline(path_b),
-                          tolerances=tolerances, a_name=path_a, b_name=path_b)
+                          a_name=path_a, b_name=path_b)

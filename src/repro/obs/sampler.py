@@ -55,7 +55,10 @@ TIMELINE_SCHEMA = "bigvlittle-timeline-v1"
 def load_timeline(path):
     """Load a ``bigvlittle-timeline-v1`` dump written by :meth:`to_json`."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("schema") != TIMELINE_SCHEMA:
         raise ValueError(f"{path}: not a {TIMELINE_SCHEMA} dump")
     return doc

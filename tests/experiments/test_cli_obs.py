@@ -4,7 +4,8 @@ phases, diff.
 Contract: every obs verb simulates fresh, writes exactly the files it
 announces, exits 0 on success — and never reads or writes the result
 cache (attaching an Observation must not leak ``obs.*`` keys into cached
-results). ``diff --gate`` exits nonzero only on a gated regression.
+results). ``diff --gate`` exits 1 only on a gated regression, and
+``diff`` exits 2 on a file it cannot load in its mode.
 """
 
 import json
@@ -179,6 +180,7 @@ def test_diff_gate_fails_across_configs(two_dumps, tmp_path, fresh_cache,
 
 
 def test_diff_gate_tolerance(two_dumps, tmp_path, capsys):
+    """A 1% drift in time_ps fails the gate, and no flag forgives it."""
     a, _ = two_dumps
     doc = json.loads(open(a).read())
     doc["stats"]["cycles_1ghz"] = int(doc["stats"]["cycles_1ghz"] * 1.01)
@@ -186,23 +188,10 @@ def test_diff_gate_tolerance(two_dumps, tmp_path, capsys):
     b = tmp_path / "drift.json"
     b.write_text(json.dumps(doc))
     assert main(["diff", a, str(b), "--gate"]) == 1
-    assert main(["diff", a, str(b), "--gate", "--rel-tol", "0.05"]) == 0
-    capsys.readouterr()
-
-
-def test_diff_gate_tolerance_schema(two_dumps, tmp_path, capsys):
-    a, _ = two_dumps
-    doc = json.loads(open(a).read())
-    key = next(k for k in doc["stats"] if ".stall." in k
-               and doc["stats"][k] > 100)
-    doc["stats"][key] = int(doc["stats"][key] * 1.002)
-    b = tmp_path / "drift.json"
-    b.write_text(json.dumps(doc))
-    # the checked-in policy lets 0.2% stall-attribution drift through
-    # while the flat default gate catches it
-    assert main(["diff", a, str(b), "--gate"]) == 1
-    assert main(["diff", a, str(b), "--gate", "--tolerances",
-                 "benchmarks/diff_tolerances.json"]) == 0
+    for flag in (["--rel-tol", "0.05"], ["--tolerances", "x.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", a, str(b), "--gate", *flag])
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -219,7 +208,7 @@ def two_timelines(tmp_path, fresh_cache):
 def test_diff_timeline_identical(two_timelines, capsys):
     a, b = two_timelines
     assert main(["diff", "--timeline", a, b, "--gate"]) == 0
-    assert "within tolerance" in capsys.readouterr().out
+    assert "identical: all" in capsys.readouterr().out
 
 
 def test_diff_timeline_localizes_divergence(two_timelines, tmp_path, capsys):
@@ -231,8 +220,42 @@ def test_diff_timeline_localizes_divergence(two_timelines, tmp_path, capsys):
     mutated = tmp_path / "mut.json"
     mutated.write_text(json.dumps(doc))
     assert main(["diff", "--timeline", a, str(mutated)]) == 0  # report-only
-    assert main(["diff", "--timeline", a, str(mutated), "--gate",
-                 "--tolerances", "benchmarks/diff_tolerances.json"]) == 1
+    assert main(["diff", "--timeline", a, str(mutated), "--gate"]) == 1
     out = capsys.readouterr().out
     assert f"FIRST DIVERGENCE at cycle {cyc} (column ipc_big)" in out
     assert "GATE FAILED" in out
+
+
+# ------------------------------------------- the wrong kind of dump: exit 2
+
+
+def _assert_load_refused(capsys, path, mode_hint):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert path in line and mode_hint in line
+
+
+def test_diff_refuses_identical_timeline_dumps(two_timelines, capsys):
+    """Two identical timeline dumps are not two identical runs: a stats
+    diff of them used to print ``identical: 0 deltas`` and pass."""
+    a, b = two_timelines
+    assert main(["diff", a, b, "--gate"]) == 2
+    _assert_load_refused(capsys, a, "with --timeline")
+
+
+def test_diff_refuses_differing_timeline_dumps(two_timelines, tmp_path,
+                                               capsys):
+    a, b = two_timelines
+    doc = json.loads(open(b).read())
+    doc["series"]["ipc_big"][0] += 1.0
+    mutated = tmp_path / "mut.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["diff", a, str(mutated), "--gate"]) == 2
+    _assert_load_refused(capsys, a, "with --timeline")
+
+
+def test_diff_timeline_refuses_run_dumps(two_dumps, capsys):
+    a, b = two_dumps
+    assert main(["diff", "--timeline", a, b, "--gate"]) == 2
+    _assert_load_refused(capsys, a, "without --timeline")

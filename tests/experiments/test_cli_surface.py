@@ -60,8 +60,6 @@ SURFACE = {
         ((), "b", None, None, None, None, None),
         (("--timeline",), "timeline", False, True, 0, None, None),
         (("--gate",), "gate", False, True, 0, None, None),
-        (("--rel-tol",), "rel_tol", 0.0, None, None, None, "float"),
-        (("--tolerances",), "tolerances", None, None, None, None, None),
         (("--top",), "top", 25, None, None, None, "int"),
     ),
     "hostprof": (

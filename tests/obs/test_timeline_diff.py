@@ -1,32 +1,22 @@
-"""Timeline diffing and per-stat-family tolerance schemas.
+"""Timeline diffing.
 
 Contract: two dumps of the same run compare identical; an injected
 mid-run perturbation is localized to its exact cycle and column; rows
-align on cycle values rather than array position; each column gates at
-its own family's tolerance (the checked-in policy in
-``benchmarks/diff_tolerances.json`` parses and covers the key families).
+align on cycle values rather than array position; every shared column
+must match exactly, and columns on one side only are reported, not
+gated.
 """
 
 import copy
 import json
-import os
 
 import pytest
 
 from repro.experiments.runner import _program_for
 from repro.obs import IntervalSampler, Observation
-from repro.obs.diff import (
-    TOLERANCES_SCHEMA,
-    ToleranceSchema,
-    diff_stats,
-    diff_timeline_files,
-    diff_timelines,
-)
+from repro.obs.diff import diff_timeline_files, diff_timelines
 from repro.soc import System, preset
 from repro.workloads import get_workload
-
-POLICY = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                      "benchmarks", "diff_tolerances.json")
 
 
 @pytest.fixture(scope="module")
@@ -39,69 +29,15 @@ def timeline_doc():
     return obs.sampler.as_dict()
 
 
-# -------------------------------------------------------- tolerance schemas
-
-
-def test_schema_first_match_wins_and_fallback():
-    tol = ToleranceSchema(
-        families=[
-            {"name": "stalls", "rel_tol": 0.01, "prefixes": ["d_stall_"]},
-            {"name": "broad", "rel_tol": 0.5, "contains": ["stall"]},
-        ],
-        default_rel_tol=0.0)
-    assert tol.family_for("d_stall_misc") == ("stalls", 0.01)
-    assert tol.family_for("big0.stall.simd") == ("broad", 0.5)
-    assert tol.family_for("time_ps") == (None, 0.0)
-
-
-def test_schema_roundtrip_and_validation():
-    tol = ToleranceSchema(families=[{"name": "x", "rel_tol": 0.1,
-                                     "keys": ["time_ps"]}], name="p")
-    doc = tol.as_dict()
-    assert doc["schema"] == TOLERANCES_SCHEMA
-    again = ToleranceSchema.from_dict(json.loads(json.dumps(doc)))
-    assert again.family_for("time_ps") == ("x", 0.1)
-    with pytest.raises(ValueError):
-        ToleranceSchema.from_dict({"schema": "bogus-v9"})
-    with pytest.raises(ValueError):
-        ToleranceSchema(families=[{"name": "bad", "rel_tol": -1}])
-
-
-def test_checked_in_policy_parses_and_covers_families():
-    tol = ToleranceSchema.load(POLICY)
-    assert tol.name == "ci-default"
-    # counts and wall time stay exact; stall attribution gets slack
-    assert tol.family_for("d_instrs_big") == ("counts", 0.0)
-    assert tol.family_for("time_ps") == ("wall-time", 0.0)
-    assert tol.family_for("cum_energy_j")[0] == "energy"
-    fam, rel = tol.family_for("d_stall_misc")
-    assert fam == "stall-attribution" and rel > 0
-    assert tol.family_for("obs.cycles.big0.misc")[1] == rel
-
-
-def test_stats_gate_respects_families():
-    a = {"time_ps": 100_000, "big0.stall.simd": 1000, "big0.instrs": 50}
-    b = {"time_ps": 100_000, "big0.stall.simd": 1002, "big0.instrs": 50}
-    tol = ToleranceSchema(families=[{"name": "stalls", "rel_tol": 0.01,
-                                     "contains": [".stall."]}])
-    report = diff_stats(a, b)
-    assert not report.ok()                      # flat zero tolerance
-    assert report.ok(tolerances=tol)            # family absorbs the drift
-    # exact-class keys never loosen, whatever the schema says
-    b2 = dict(b, **{"big0.instrs": 51})
-    loose = ToleranceSchema(default_rel_tol=1.0)
-    assert not diff_stats(a, b2).ok(tolerances=loose)
-
-
 # ---------------------------------------------------------- timeline diffs
 
 
 def test_identical_timelines_ok(timeline_doc):
     report = diff_timelines(timeline_doc, copy.deepcopy(timeline_doc))
-    assert report.ok()
+    assert report.ok
     assert report.first_divergence() is None
     assert report.n_aligned == timeline_doc["samples"]
-    assert "within tolerance" in report.format_table()
+    assert "identical: all" in report.format_table()
 
 
 def test_injected_divergence_is_localized(timeline_doc):
@@ -109,9 +45,8 @@ def test_injected_divergence_is_localized(timeline_doc):
     k = len(b["series"]["cycle"]) // 2
     cyc = b["series"]["cycle"][k]
     b["series"]["ipc_big"][k] = b["series"]["ipc_big"][k] + 1.0
-    report = diff_timelines(timeline_doc, b,
-                            tolerances=ToleranceSchema.load(POLICY))
-    assert not report.ok()
+    report = diff_timelines(timeline_doc, b)
+    assert not report.ok
     assert report.first_divergence() == (cyc, "ipc_big")
     (col,) = report.diverged()
     assert (col.column, col.n_diverged, col.first_cycle) == ("ipc_big", 1, cyc)
@@ -128,7 +63,7 @@ def test_rows_align_on_cycle_not_position(timeline_doc):
     report = diff_timelines(timeline_doc, b)
     assert report.n_aligned == timeline_doc["samples"] - 1
     assert report.n_only_a == 1 and report.n_only_b == 0
-    assert report.ok()  # every aligned sample still matches exactly
+    assert report.ok  # every aligned sample still matches exactly
 
 
 def test_interval_mismatch_rejected(timeline_doc):
@@ -146,7 +81,7 @@ def test_one_sided_columns_reported_not_gated(timeline_doc):
         b["columns"].remove(c)
         del b["series"][c]
     report = diff_timelines(timeline_doc, b)
-    assert report.ok()
+    assert report.ok
     assert set(report.cols_only_a) == {"big_w", "engine_w", "power_w",
                                        "energy_j", "cum_energy_j"}
     assert "cum_energy_j" not in report.columns
@@ -160,7 +95,7 @@ def test_diff_timeline_files(timeline_doc, tmp_path):
     doc_b["series"]["d_uops"][-1] += 7
     b.write_text(json.dumps(doc_b))
     report = diff_timeline_files(str(a), str(b))
-    assert not report.ok()
+    assert not report.ok
     assert report.first_divergence()[1] == "d_uops"
     doc = report.as_dict()
     assert doc["first_divergence"]["column"] == "d_uops"

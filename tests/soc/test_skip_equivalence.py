@@ -224,3 +224,23 @@ _MATRIX = [make_case(seed) for seed in range(N_RANDOM_CASES)]
 @pytest.mark.parametrize("case", _MATRIX, ids=[c.ident for c in _MATRIX])
 def test_event_matches_reference_randomized(case, arm):
     check_case(case, arm=arm)
+
+
+def test_check_case_catches_one_stall_stat_divergence(monkeypatch):
+    """The harness compares every non-META stat, not just ``cycles`` and
+    the tick totals: a stall stat moved on the event arm alone, with
+    both of those unchanged, must fail the case."""
+    case = _MATRIX[0]
+    run = System.run
+
+    def nudged(self, program, skip=True, **kw):
+        result = run(self, program, skip=skip, **kw)
+        if skip:
+            key = next(k for k in sorted(result.stats)
+                       if k.endswith(".stall.busy"))
+            result.stats[key] += 7
+        return result
+
+    monkeypatch.setattr(System, "run", nudged)
+    with pytest.raises(AssertionError, match="stat divergence"):
+        check_case(case, arm="dense")

@@ -106,3 +106,16 @@ def test_batched_matches_per_lane_across_many_fallbacks():
     _, scalar = _run(cfg, "lavamd", scale="small", batched=False)
     assert engine.batch_fallbacks > 100
     _assert_same(batched, scalar, "lavamd@small")
+
+
+def test_assert_same_catches_one_lane_stall_divergence():
+    """``_assert_same`` compares every non-META stat: a pair that agrees
+    on ``cycles`` and every tick total but not on one lane stall count
+    must fail it."""
+    cfg = preset("1b-4VL")
+    _, batched = _run(cfg, "saxpy")
+    _, scalar = _run(cfg, "saxpy", batched=False)
+    assert batched.cycles == scalar.cycles
+    batched.stats["vlittle.lane_stall.simd"] += 1
+    with pytest.raises(AssertionError, match="batched lanes diverge"):
+        _assert_same(batched, scalar, "saxpy")
