@@ -54,7 +54,7 @@ def test_dram_bandwidth():
 
 
 def test_region_granularity():
-    data = ablations.region_granularity(scale="tiny", elems=1024)
+    data = ablations.region_granularity(scale="tiny")
     # the paper's coarse-grained-switching argument: fine regions are
     # strictly worse, and per-region cost compounds
     ns = sorted(data)

@@ -9,7 +9,7 @@ paper advocates coarse-grained switching: small regions cannot amortize the
 mode-switch cost and belong on the IVU.
 """
 
-from repro.soc.scheduler import POLICIES, VectorModeScheduler
+from repro.experiments.scheduler import POLICIES, VectorModeScheduler
 
 
 def show(scale):

@@ -36,6 +36,11 @@ class DeadlockError(SimulationError):
             msg += f": {detail}"
         super().__init__(msg)
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error survives
+        # the trip back from a pool process with its message intact
+        return type(self), (self.cycle, self.detail, self.forensics)
+
 
 class WorkloadError(ReproError):
     """A workload generator was given unusable parameters."""

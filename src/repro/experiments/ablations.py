@@ -1,8 +1,8 @@
 """Design-space ablations for the choices DESIGN.md calls out.
 
 Beyond the paper's own sweeps (Fig. 7 chimes/packing, Fig. 8 queue depth),
-these ablate the remaining design decisions and the paper's stated future
-work:
+these ablate the remaining design decisions, the paper's inputs and its
+stated future work:
 
 * ``cluster_scaling``   — VLITTLE engines built from 2 / 4 / 8 little cores
   (the paper's conclusion: "future research can explore the scalability of
@@ -15,6 +15,15 @@ work:
   "e.g., four").
 * ``dram_bandwidth``    — how much of big.VLITTLE's win survives on a
   bandwidth-starved memory system.
+* ``graph_topology``    — Fig. 4's multicore scaling on power-law (rMAT)
+  vs uniform graphs.
+* ``region_granularity`` — the cost of splitting the same vector work into
+  more, shorter vector regions (§III-B's coarse-grained switching).
+
+Each lists its runs as :class:`~repro.experiments.parallel.RunRequest`
+objects and takes them from one ``run_sweep`` call, so every ablation is
+cached, pooled under ``jobs`` and reported in sweep telemetry like the
+figures.
 """
 
 from __future__ import annotations
@@ -90,55 +99,31 @@ def graph_topology(apps=("bfs", "pagerank", "cc"), scale="small", jobs=None):
     """Multicore scaling (1b-4L over 1b) on power-law vs uniform graphs.
 
     Skewed rMAT degree distributions create load imbalance that random work
-    stealing must absorb; uniform graphs parallelize more evenly."""
-    from repro.soc import System, preset
-    from repro.workloads import get_workload
-
-    out = {}
-    for kind in ("rmat", "uniform"):
-        row = {}
-        for app in apps:
-            w1 = get_workload(app, scale, graph_kind=kind)
-            t1 = System(preset("1b")).run(w1.scalar_trace()).stats["time_ps"]
-            w2 = get_workload(app, scale, graph_kind=kind)
-            t4 = System(preset("1b-4L")).run(w2.task_program()).stats["time_ps"]
-            row[app] = t1 / t4
-        out[kind] = row
-    return out
+    stealing must absorb; uniform graphs parallelize more evenly.  The rMAT
+    runs are Fig. 4's own ``1b`` and ``1b-4L`` runs."""
+    params = {"rmat": {}, "uniform": {"graph_kind": "uniform"}}
+    res = run_sweep({(kind, s, app): RunRequest(s, app, scale,
+                                                 params=params[kind])
+                     for kind in params for app in apps
+                     for s in ("1b", "1b-4L")}, jobs)
+    return {kind: {app: res[kind, "1b", app].stats["time_ps"]
+                   / res[kind, "1b-4L", app].stats["time_ps"]
+                   for app in apps}
+            for kind in params}
 
 
-def region_granularity(scale="small", n_regions=(1, 2, 4, 8), elems=2048,
+def region_granularity(scale="small", n_regions=(1, 2, 4, 8),
                        switch_penalty=500, jobs=None):
     """Cost of fine-grained mode switching (§III-B: switching "typically
     happens at a coarse-grained level ... to amortize its overhead").
 
-    The same total vector work split into N regions with a mode exit (CSR
-    write + engine drain + re-switch) between them; reported as slowdown
-    relative to a single region."""
-    from repro.soc import System, preset
-    from repro.trace import TraceBuilder, VectorBuilder
-
-    def trace(vlen_bits, n):
-        tb = TraceBuilder()
-        vb = VectorBuilder(tb, vlen_bits=vlen_bits)
-        per = elems // n
-        for r in range(n):
-            base = 0x100000 + r * 0x40000
-            for chunk, vl in vb.strip_mine(base, per, ew=4):
-                v = vb.vle(chunk, vl=vl)
-                v2 = vb.vfmul(v, v)
-                vb.vse(v2, chunk + 0x20000, vl=vl)
-            if r != n - 1:
-                vb.mode_exit()
-                for _ in range(30):
-                    tb.addi(None)
-        return tb.finish(f"regions-{n}")
-
-    out = {}
-    base_t = None
-    for n in n_regions:
-        cfg = preset("1b-4VL", switch_penalty=switch_penalty)
-        t = System(cfg).run(trace(cfg.vlen_bits(4), n)).stats["time_ps"]
-        base_t = base_t or t
-        out[n] = t / base_t
-    return out
+    The same total vector work (the ``mode_regions`` workload: 1024
+    elements at ``tiny``, 2048 at ``small``) split into N regions with a
+    mode exit (CSR write + engine drain + re-switch) between them; reported
+    as slowdown relative to a single region."""
+    res = run_sweep({n: RunRequest("1b-4VL", "mode_regions", scale,
+                                   dict(switch_penalty=switch_penalty),
+                                   dict(regions=n))
+                     for n in n_regions}, jobs)
+    base = res[n_regions[0]].stats["time_ps"]
+    return {n: r.stats["time_ps"] / base for n, r in res.items()}

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import time
 import warnings
@@ -44,8 +45,8 @@ DEFAULT_LEDGER = "BENCH_history.jsonl"
 DEFAULT_THRESHOLD = 0.05
 
 _UP_KEYS = ("speedup", "improvement", "throughput")
-_DOWN_KEYS = ("wall", "overhead")
-_DOWN_SUFFIXES = ("_s", "_ms", "_us")
+_DOWN_KEYS = ("wall", "overhead", "failed")
+_DOWN_SUFFIXES = ("_s", "_ms", "_us", "_mib")
 
 
 def metric_direction(name):
@@ -204,7 +205,10 @@ def deltas(entries, threshold=DEFAULT_THRESHOLD):
                     break
             if old is None or not isinstance(new, (int, float)):
                 continue
-            rel = (new - old) / abs(old) if old else 0.0
+            # from a zero baseline any change is unbounded (0 -> 2 failed
+            # ops must flag)
+            rel = ((new - old) / abs(old) if old
+                   else math.copysign(math.inf, new) if new else 0.0)
             d = metric_direction(metric)
             moved = abs(rel) > threshold
             rows.append({

@@ -11,7 +11,8 @@ Every run ``ParallelRunner`` resolves (``run_pair``'s too) is memoized twice:
 
 The key is a SHA-256 over a canonical payload containing the **complete**
 serialized :class:`~repro.soc.SoCConfig` (every field, ``mem`` included),
-the workload identity ``(name, scale)``, and the simulator version.  Hashing
+the workload identity ``(name, scale)`` plus any workload keyword
+``params``, and the simulator version.  Hashing
 the whole config replaces the old hand-picked key tuple, which silently
 aliased configs that differed in any field it forgot to list.
 
@@ -116,14 +117,17 @@ class ResultCache:
 
     # ------------------------------------------------------------------ keys
 
-    def key_for(self, cfg, workload_name, scale):
-        """Content-hash key for one (config, workload, scale) run."""
+    def key_for(self, cfg, workload_name, scale, params=None):
+        """Content-hash key for one (config, workload, scale) run; workload
+        keyword ``params``, when there are any, are hashed too."""
         payload = {
             "sim_version": SIM_VERSION,
             "workload": workload_name,
             "scale": scale,
             "config": cfg.to_dict(),
         }
+        if params:
+            payload["params"] = params
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -57,7 +57,8 @@ Observability (see ``docs/observability.md``):
   run dumps; under ``--gate`` any delta in a non-meta stat exits 1 (the
   CI determinism gate). ``--timeline`` diffs two timeline dumps instead,
   localizing the first differing cycle per column. A file that does not
-  load as the mode's kind of dump exits 2.
+  load as the mode's kind of dump exits 2, and so do two timelines
+  sampled at different intervals.
 
 The eight single-run verbs above, ``trace`` through ``inspect``, share
 one parser builder and one main, and always simulate fresh: they never
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from functools import partial
@@ -99,8 +101,8 @@ _ABLATIONS = {
     "ablate-regions": ablations.region_granularity,
 }
 #: ablations that ignore ``--scale``: ``ablate-switch`` sweeps ``tiny`` and
-#: ``small``, ``ablate-regions`` sizes its regions by element count
-_SCALE_FREE = {"ablate-switch", "ablate-regions"}
+#: ``small``
+_SCALE_FREE = {"ablate-switch"}
 
 _TABLES = {
     "table2": tables.table2,
@@ -500,7 +502,12 @@ def _diff_main(argv):
         print(f"bigvlittle diff: {exc} ({hint})", file=sys.stderr)
         return 2
     if args.timeline:
-        report = diff_timelines(a, b, a_name=args.a, b_name=args.b)
+        try:
+            report = diff_timelines(a, b, a_name=args.a, b_name=args.b)
+        except ValueError as exc:  # sampled at different intervals
+            print(f"bigvlittle diff: {args.a} vs {args.b}: {exc}",
+                  file=sys.stderr)
+            return 2
         print(report.format_table(top=args.top))
         if args.gate and not report.ok:
             print(f"GATE FAILED: {len(report.diverged())} columns differ")
@@ -631,6 +638,12 @@ NAMED_VERBS = tuple(verb for verb in _VERBS if verb)
 
 
 def main(argv=None):
+    # one stderr handler at INFO: a line per sweep progress step, served
+    # request and replaced pool; a no-op if logging is already configured
+    logging.basicConfig(
+        level=logging.INFO, datefmt="%H:%M:%S",
+        format="%(asctime)s.%(msecs)03d %(levelname)-7s %(name)s: "
+               "%(message)s")
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     verb = argv[0] if argv and argv[0] in NAMED_VERBS else ""
     return _VERBS[verb][1](argv[1:] if verb else argv)

@@ -13,9 +13,9 @@ The runner:
    in-process for ``jobs`` None or ``<= 1``), or on a long-lived executor
    the caller passes as ``pool=``; the parent stores each result in the
    cache once, as it arrives, so an interrupted sweep resumes;
-4. emits optional per-run progress lines (through the
-   :mod:`repro.log` structured logger) and a wall-clock/hit-rate/worker-
-   utilization summary.
+4. logs optional per-run progress lines (at INFO, on the
+   ``repro.experiments.parallel`` logger) and keeps a wall-clock/hit-rate/
+   worker-utilization summary.
 
 Every figure, ablation and energy generator lists its whole sweep once and
 takes its results from one :meth:`ParallelRunner.run` call
@@ -38,6 +38,7 @@ whole sweep exports as a one-track-per-worker Chrome trace
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from collections import Counter
@@ -48,27 +49,29 @@ from dataclasses import dataclass, field
 from repro.experiments import telemetry
 from repro.experiments.cache import SIM_VERSION, get_cache
 from repro.experiments.runner import simulate
-from repro.log import get_logger
 from repro.soc import preset
 from repro.stats import RunResult
 
-_logger = get_logger("repro.experiments.parallel")
+_logger = logging.getLogger("repro.experiments.parallel")
 
 
 @dataclass
 class RunRequest:
-    """One (system, workload) simulation request with config overrides."""
+    """One (system, workload) simulation request with config overrides
+    and workload keyword ``params`` (e.g. ``{"graph_kind": "uniform"}``)."""
 
     system: str
     workload: str
     scale: str = "small"
     overrides: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
 
     def config(self):
         return preset(self.system, **self.overrides)
 
     def label(self):
-        knobs = ",".join(f"{k}={v}" for k, v in sorted(self.overrides.items()))
+        knobs = ",".join(f"{k}={v}" for k, v in sorted(self.overrides.items())
+                         + sorted(self.params.items()))
         return f"{self.system}/{self.workload}@{self.scale}" + (
             f" [{knobs}]" if knobs else "")
 
@@ -84,7 +87,8 @@ def _simulate(req):
     """
     telemetry.disable()
     t_start = time.time()
-    result = simulate(req.config(), req.workload, req.scale)
+    result = simulate(req.config(), req.workload, req.scale,
+                      params=req.params)
     return {"result": result.to_dict(), "pid": os.getpid(),
             "t_start": t_start, "t_end": time.time()}
 
@@ -123,7 +127,8 @@ class ParallelRunner:
                       sim_version=SIM_VERSION)
         pending = {}  # cache key -> (request, [indices])
         for i, req in enumerate(requests):
-            key = self.cache.key_for(req.config(), req.workload, req.scale)
+            key = self.cache.key_for(req.config(), req.workload, req.scale,
+                                     req.params)
             # only a *fresh* disk load costs load time; a memory-level
             # re-hit of a previously loaded result is free
             dh0 = self.cache.disk_hits
@@ -201,7 +206,8 @@ class ParallelRunner:
             workers = 1 if n_sim else 0
             for key, (req, idxs) in pending.items():
                 t_start = time.time()
-                result = simulate(req.config(), req.workload, req.scale)
+                result = simulate(req.config(), req.workload, req.scale,
+                                  params=req.params)
                 finish(key, req, idxs, result, "main", t_start, time.time())
 
         wall = time.perf_counter() - t0

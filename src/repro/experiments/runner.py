@@ -60,12 +60,15 @@ def _program_for(cfg, workload):
     return workload.task_program()
 
 
-def simulate(cfg, workload, scale, obs=None):
+def simulate(cfg, workload, scale, obs=None, params=None):
     """Build ``workload``'s program for ``cfg`` and run it once: no cache,
-    no run events.  Every simulation goes through this one recipe, and it
-    looks ``get_workload``, ``_program_for`` and ``System`` up as module
-    globals, so wrapping them here times every simulation's stages."""
-    program = _program_for(cfg, get_workload(workload, scale))
+    no run events.  ``params`` are workload keyword arguments (e.g.
+    ``{"graph_kind": "uniform"}``).  Every simulation goes through this
+    one recipe, and it looks ``get_workload``, ``_program_for`` and
+    ``System`` up as module globals, so wrapping them here times every
+    simulation's stages."""
+    program = _program_for(cfg, get_workload(workload, scale,
+                                             **(params or {})))
     return System(cfg).run(program, obs=obs)
 
 

@@ -33,6 +33,7 @@ so a refused request never leaves bytes behind for the next one.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -41,7 +42,6 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.experiments import telemetry
 from repro.experiments.cache import SIM_VERSION, ResultCache
-from repro.log import get_logger
 from repro.service.artifacts import ARTIFACT_FILES, ArtifactStore
 from repro.service.jobs import JobQueue
 from repro.service.schemas import (DERIVED_ARTIFACTS, SERVICE_SCHEMA,
@@ -49,7 +49,7 @@ from repro.service.schemas import (DERIVED_ARTIFACTS, SERVICE_SCHEMA,
                                    error_body, validate_submit)
 from repro.service.workers import WorkerPool
 
-_logger = get_logger("repro.service.http")
+_logger = logging.getLogger("repro.service.http")
 
 #: request body size cap — a sweep of every preset x workload is ~100 KiB
 MAX_BODY_BYTES = 4 * 1024 * 1024

@@ -40,7 +40,7 @@ from collections import deque
 from repro.errors import ConfigError
 from repro.experiments import telemetry
 from repro.service.schemas import SERVICE_SCHEMA, ValidationError
-from repro.soc import preset
+from repro.soc import System, preset
 from repro.workloads import REGISTRY
 
 #: counter names; each maps 1:1 onto a telemetry event branch
@@ -152,7 +152,8 @@ class JobQueue:
     def keys_for(self, runs):
         """Config-hash keys for a list of run specs, as the runner hashes
         them.  Raises :class:`ValidationError` for an unknown workload or a
-        config ``preset`` refuses, so that spec is refused at submit."""
+        config that ``preset`` refuses or a ``System`` cannot be built
+        from, so that spec is refused at submit."""
         keys = []
         for spec in runs:
             if spec["workload"] not in REGISTRY:
@@ -161,7 +162,8 @@ class JobQueue:
                     f"have {sorted(REGISTRY)}")
             try:
                 cfg = preset(spec["system"], **spec.get("overrides", {}))
-            except (ConfigError, TypeError) as exc:
+                System(cfg)
+            except (ConfigError, TypeError, ValueError) as exc:
                 raise ValidationError(str(exc)) from None
             keys.append(self.cache.key_for(cfg, spec["workload"],
                                            spec["scale"]))

@@ -36,6 +36,7 @@ Failure handling honors the service robustness contract:
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import signal
@@ -46,10 +47,9 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
 
 from repro.experiments.parallel import ParallelRunner, RunRequest
-from repro.log import get_logger
 from repro.service.artifacts import render_timeline
 
-_logger = get_logger("repro.service.workers")
+_logger = logging.getLogger("repro.service.workers")
 
 #: modules the forkserver imports once, so every pool process it forks
 #: starts with the simulator (and this module's initializer) loaded

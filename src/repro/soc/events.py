@@ -92,10 +92,10 @@ scheduler state.
 
 from __future__ import annotations
 
+import logging
 import time
 
 from repro.errors import DeadlockError
-from repro.log import get_logger
 from repro.vector import DecoupledVectorEngine, VLittleEngine
 
 _INF = 1 << 60
@@ -115,10 +115,10 @@ _BIG, _LITTLE, _MEM = 0, 1, 2
 _BURST_AFTER = 12
 _BURST_GAP_SLOTS = 1
 
-#: watchdog / horizon diagnostics go through the structured logger —
-#: shared by both run loops so the text channel matches the shared
-#: DeadlockError construction below
-_wdlog = get_logger("repro.soc.watchdog")
+#: watchdog / horizon diagnostics go through one logger, shared by both
+#: run loops so the text channel matches the shared DeadlockError
+#: construction below
+_wdlog = logging.getLogger("repro.soc.watchdog")
 
 
 def _grab_forensics(system, t_ps, reason):
@@ -134,14 +134,14 @@ def _grab_forensics(system, t_ps, reason):
 
 def progress_check(system, t_ps, last_instrs, loop):
     """One watchdog window's progress check, shared by both run loops:
-    returns ``(stalled, signature)`` and routes the diagnostic through
-    :mod:`repro.log` (debug level — silent by default)."""
+    returns ``(stalled, signature)`` and logs the diagnostic at debug
+    level (silent by default)."""
     instrs = system._progress_signature()
     stalled = instrs == last_instrs
-    if _wdlog.enabled_for("debug"):
-        _wdlog.debug("watchdog progress check", loop=loop, t_ps=t_ps,
-                     signature=instrs, window_ps=WATCHDOG_PS,
-                     stalled=stalled)
+    if _wdlog.isEnabledFor(logging.DEBUG):
+        _wdlog.debug("watchdog progress check loop=%s signature=%s "
+                     "stalled=%s t_ps=%s window_ps=%s", loop, instrs,
+                     stalled, t_ps, WATCHDOG_PS)
     return stalled, instrs
 
 
@@ -152,8 +152,9 @@ def watchdog_deadlock(system, t_ps, loop):
     stalled simulation is always a bug in the workload or the model)."""
     detail = f"no instruction progress in system {system.config.name}"
     rep = _grab_forensics(system, t_ps, reason="watchdog")
-    _wdlog.error(detail, loop=loop, t_ps=t_ps, window_ps=WATCHDOG_PS,
-                 frontier=",".join(rep["blocking_frontier"]) if rep else "")
+    _wdlog.error("%s frontier=%s loop=%s t_ps=%s window_ps=%s", detail,
+                 ",".join(rep["blocking_frontier"]) if rep else "", loop,
+                 t_ps, WATCHDOG_PS)
     return DeadlockError(t_ps, detail, forensics=rep)
 
 
@@ -161,8 +162,9 @@ def horizon_deadlock(system, t_ps, max_ns, loop):
     """The ``max_ns``-horizon DeadlockError, forensics attached. Logged
     at debug only: hitting the horizon is often deliberate (bounded
     runs, ``bigvlittle inspect --at-ns``)."""
-    if _wdlog.enabled_for("debug"):
-        _wdlog.debug(f"exceeded max_ns={max_ns}", loop=loop, t_ps=t_ps)
+    if _wdlog.isEnabledFor(logging.DEBUG):
+        _wdlog.debug("exceeded max_ns=%s loop=%s t_ps=%s", max_ns, loop,
+                     t_ps)
     return DeadlockError(t_ps, f"exceeded max_ns={max_ns}",
                          forensics=_grab_forensics(system, t_ps,
                                                    reason="horizon"))

@@ -1,6 +1,6 @@
 """Synthetic phase-structure microbenchmarks (``kind="synthetic"``).
 
-Unlike the Tables IV & V apps, these two workloads exist to exercise
+Unlike the Tables IV & V apps, these three workloads exist to exercise
 specific *temporal* regimes of the simulator — the phase taxonomy that
 :mod:`repro.obs.phases` detects and that the ``sim_throughput`` guard
 in ``benchmarks/guards.py`` stresses:
@@ -14,6 +14,10 @@ in ``benchmarks/guards.py`` stresses:
   stride: every load misses the whole hierarchy, the ROB drains while
   DRAM serves it, and the timeline shows scalar phases whose stall mix
   is almost pure ``raw_mem``.
+* ``mode_regions`` — one fixed amount of vector work split into
+  ``regions`` vector regions with a mode exit between them: the input of
+  the region-granularity ablation
+  (:func:`repro.experiments.ablations.region_granularity`).
 
 They register under ``kind="synthetic"`` so the Tables IV & V suites
 (``KERNELS`` / ``DATA_PARALLEL`` / ``TASK_PARALLEL``) — and therefore
@@ -129,3 +133,59 @@ class DramChain(Workload):
         # a dependent miss chain has no data parallelism to expose; vector
         # systems run the same scalar trace on their control core
         return self.scalar_trace()
+
+
+@register
+class ModeRegions(Workload):
+    """The same element work split into ``regions`` vector regions, with
+    a mode exit (CSR write, engine drain, re-switch) and 30 scalar
+    instructions between each two."""
+
+    name = "mode_regions"
+    suite = "synthetic"
+    kind = "synthetic"
+
+    def __init__(self, scale="small", seed=1, regions=None):
+        super().__init__(scale=scale, seed=seed)
+        if regions is not None:
+            self.params["regions"] = int(regions)
+
+    def _params(self, scale):
+        return {
+            "tiny": dict(regions=4, elems=1024),
+            "small": dict(regions=4, elems=2048),
+            "full": dict(regions=4, elems=8192),
+        }[scale]
+
+    def scalar_trace(self):
+        p = self.params
+        tb = self._tb()
+        per = p["elems"] // p["regions"]
+        for r in range(p["regions"]):
+            base = 0x100000 + r * 0x40000
+            with tb.loop(per) as loop:
+                for i in loop:
+                    x = tb.flw(base + 4 * i)
+                    y = tb.fmul(x, x)
+                    tb.fsw(y, base + 0x20000 + 4 * i)
+            if r != p["regions"] - 1:
+                for _ in range(30):
+                    tb.addi(None)
+        return tb.finish(self.name)
+
+    def vector_trace(self, vlen_bits):
+        p = self.params
+        tb = self._tb()
+        vb = self._vb(tb, vlen_bits)
+        per = p["elems"] // p["regions"]
+        for r in range(p["regions"]):
+            base = 0x100000 + r * 0x40000
+            for chunk, vl in vb.strip_mine(base, per, ew=4):
+                v = vb.vle(chunk, vl=vl)
+                v2 = vb.vfmul(v, v)
+                vb.vse(v2, chunk + 0x20000, vl=vl)
+            if r != p["regions"] - 1:
+                vb.mode_exit()
+                for _ in range(30):
+                    tb.addi(None)
+        return tb.finish(self.name)

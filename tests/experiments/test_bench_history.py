@@ -124,6 +124,20 @@ def test_metric_direction_heuristic():
     assert metric_direction("event_skipped_frac") == 0  # unknown: no flag
 
 
+def test_memory_and_failed_ops_are_lower_is_better():
+    """perfbench entries carry peak memory and failed-op counts: a rise in
+    either is a regression the dashboard must flag."""
+    for name in ("peak_rss_mib", "ops_failed", "jobs.failed"):
+        assert metric_direction(name) == -1, name
+    entries = [{"results": {"serve": {"peak_rss_mib": 30.0,
+                                      "ops_failed": 0}}},
+               {"results": {"serve": {"peak_rss_mib": 36.0,
+                                      "ops_failed": 2}}}]
+    rows = {r["metric"]: r for r in deltas(entries)}
+    assert rows["peak_rss_mib"]["regressed"]
+    assert rows["ops_failed"]["regressed"]
+
+
 def test_deltas_flag_directional_moves_only():
     entries = [
         {"results": {"b": {"wall_s": 1.0, "speedup": 2.0, "frac": 0.5}}},

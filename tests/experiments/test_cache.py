@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import cli
 from repro.experiments.cache import ResultCache
+from repro.experiments.parallel import RunRequest
 from repro.experiments.runner import clear_cache, run_pair
 from repro.soc import preset
 
@@ -66,6 +67,26 @@ def test_distinct_overrides_never_collide(fresh_cache):
     keys = {fresh_cache.key_for(preset("1b-4VL", **ov), "vvadd", "tiny")
             for ov in variants}
     assert len(keys) == len(variants)
+
+
+def test_keys_are_pinned(fresh_cache):
+    """A key moves only with ``SIM_VERSION`` or the config schema: a
+    request without workload params hashes exactly as it always has, and
+    one with params gets a key of its own."""
+    assert fresh_cache.key_for(preset("1b-4VL"), "saxpy", "tiny") == (
+        "a33e7c7f828937308d40994657b860b25809fbe831cb4cc5f48f81b6f877fdae")
+    assert fresh_cache.key_for(preset("1b"), "bfs", "small") == (
+        "b82b6846193a0f011af95465498bacbea7fbb94530e6d912837633f979836f70")
+    plain = RunRequest("1b", "bfs", "small")
+    uniform = RunRequest("1b", "bfs", "small",
+                         params={"graph_kind": "uniform"})
+    assert fresh_cache.key_for(plain.config(), "bfs", "small",
+                               plain.params) == fresh_cache.key_for(
+        preset("1b"), "bfs", "small")
+    assert fresh_cache.key_for(uniform.config(), "bfs", "small",
+                               uniform.params) != fresh_cache.key_for(
+        preset("1b"), "bfs", "small")
+    assert uniform.label() == "1b/bfs@small [graph_kind=uniform]"
 
 
 def test_omitted_mem_field_no_longer_aliases(fresh_cache, run_spy):

@@ -255,6 +255,22 @@ def test_diff_refuses_differing_timeline_dumps(two_timelines, tmp_path,
     _assert_load_refused(capsys, a, "with --timeline")
 
 
+def test_diff_timeline_refuses_different_intervals(two_timelines, tmp_path,
+                                                   capsys):
+    """Timelines sampled at different intervals cannot be aligned: one
+    stderr line naming both intervals and exit 2, not a traceback and
+    the exit code of a gated regression."""
+    a, _ = two_timelines
+    b = str(tmp_path / "tl200.json")
+    assert main(["timeline", *ARGS, "--out", b, "--interval", "200"]) == 0
+    capsys.readouterr()
+    assert main(["diff", "--timeline", a, b, "--gate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert a in line and b in line and "(100 vs 200 cycles)" in line
+
+
 def test_diff_timeline_refuses_run_dumps(two_dumps, capsys):
     a, b = two_dumps
     assert main(["diff", "--timeline", a, b, "--gate"]) == 2

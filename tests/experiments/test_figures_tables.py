@@ -86,6 +86,8 @@ def test_cli_runs_tables(capsys):
     ("ablate-vxu", {"tiny"}, "== ablate-vxu (scale=tiny) =="),
     ("ablate-coalesce", {"tiny"}, "== ablate-coalesce (scale=tiny) =="),
     ("ablate-dram", {"tiny"}, "== ablate-dram (scale=tiny) =="),
+    ("ablate-graphs", {"tiny"}, "== ablate-graphs (scale=tiny) =="),
+    ("ablate-regions", {"tiny"}, "== ablate-regions (scale=tiny) =="),
     # sweeps two region sizes by design: its header claims no one scale
     ("ablate-switch", {"tiny", "small"}, "== ablate-switch =="),
 ])
@@ -110,17 +112,18 @@ def test_cli_ablations_run_at_the_scale_their_header_names(
 
 
 def test_cli_ablate_graphs_runs_at_the_requested_scale(monkeypatch, capsys):
-    import repro.workloads
+    """The real ``ablate-graphs`` sweep, unstubbed, runs at ``--scale``."""
+    from repro.experiments import ablations
     from repro.experiments.cli import main
 
     seen = set()
-    real = repro.workloads.get_workload
+    real = ablations.run_sweep
 
-    def recording(name, scale="small", **kw):
-        seen.add(scale)
-        return real(name, scale, **kw)
+    def recording(requests, jobs=None):
+        seen.update(r.scale for r in requests.values())
+        return real(requests, jobs)
 
-    monkeypatch.setattr(repro.workloads, "get_workload", recording)
+    monkeypatch.setattr(ablations, "run_sweep", recording)
     assert main(["ablate-graphs", "--scale", "tiny"]) == 0
     assert seen == {"tiny"}
     assert "== ablate-graphs (scale=tiny) ==\n" in capsys.readouterr().out

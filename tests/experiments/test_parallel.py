@@ -1,6 +1,7 @@
 """Parallel-runner tests: warm-cache short-circuit, dedup, summaries, and
 one lookup, one store and one simulation per sweep point."""
 
+import logging
 import os
 
 import pytest
@@ -124,11 +125,13 @@ def test_pooled_results_land_once_in_the_cache_layout(tmp_path,
     assert cache.stats()["disk_entries"] == 2
 
 
-def test_progress_lines_emitted(fresh_cache, capsys):
+def test_progress_lines_emitted(fresh_cache, caplog):
+    caplog.set_level(logging.INFO, logger="repro.experiments.parallel")
     ParallelRunner(jobs=1).run([RunRequest("1b", "vvadd", "tiny")],
                                progress=True)
-    err = capsys.readouterr().err
-    assert "[1/1] 1b/vvadd@tiny simulated" in err
+    (record,) = caplog.records
+    assert record.name == "repro.experiments.parallel"
+    assert record.getMessage().startswith("[1/1] 1b/vvadd@tiny simulated")
 
 
 def test_serial_runner_looks_up_and_stores_each_miss_once(fresh_cache,

@@ -252,8 +252,9 @@ def test_submit_runs_job_to_done_with_levels(service_app):
 
 def test_submit_validation_errors_are_400(service_app):
     """A body off the schema, or a run spec that could never simulate (an
-    unknown system, override field or workload), gets a 400 with the
-    error text at submit, and nothing is queued or journaled."""
+    unknown system, override field or workload, or a config no ``System``
+    can be built from), gets a 400 with the error text at submit, and
+    nothing is queued or journaled."""
     for bad, text in (
             ({"workload": "vvadd"}, "'system'"),
             ({"system": "1b", "workload": "vvadd", "scale": "huge"},
@@ -264,7 +265,15 @@ def test_submit_validation_errors_are_400(service_app):
             (dict(RUN, overrides={"bogus": 1}), "'bogus'"),
             (dict(RUN, overrides={"mem": {"bogus": 1}}), "'bogus'"),
             (dict(RUN, overrides={"mem": 5}), "'mem' must be"),
-            (dict(RUN, workload="nope"), "unknown workload 'nope'")):
+            (dict(RUN, workload="nope"), "unknown workload 'nope'"),
+            (dict(RUN, system="1b-4VL", overrides={"chimes": 4}),
+             "chimes must be 1"),
+            (dict(RUN, system="1b-4VL", overrides={"n_little": 3}),
+             "power of two"),
+            (dict(RUN, overrides={"mem": {"dram_latency": "x"}}),
+             "not supported"),
+            (dict(RUN, overrides={"mem": {"l2_banks": 3}}),
+             "powers of two")):
         status, _, raw = req(service_app, "POST", "/v1/runs", bad)
         assert status == 400, (bad, raw)
         doc = json.loads(raw)

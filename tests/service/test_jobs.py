@@ -19,10 +19,11 @@ from repro.service.workers import WorkerPool
 
 RUN = {"system": "1b", "workload": "vvadd", "scale": "tiny",
        "overrides": {}}
-#: a spec that passes submit (``preset`` accepts it) but fails in the
-#: pool on every attempt: the VLITTLE engine refuses four chimes
+#: a spec that passes submit (``preset`` accepts it and a ``System``
+#: builds from it) but fails in the pool on every attempt: with no load
+#: queue entries the engine never issues a load, and the watchdog raises
 POISON = {"system": "1b-4VL", "workload": "vvadd", "scale": "tiny",
-          "overrides": {"chimes": 4}}
+          "overrides": {"vmu_loadq": 0}}
 
 
 def make_queue(tmp_path, journal=False):
@@ -278,7 +279,8 @@ def test_worker_pool_retries_then_fails_poisoned_job(tmp_path):
         job, _ = q.submit([dict(POISON)])
         pool.stop(drain=True)
         assert job.state == "failed" and job.retries == 2
-        assert "chimes must be 1" in job.error
+        assert job.error.count("simulation deadlocked at cycle") == 1
+        assert "no instruction progress" in job.error
         # capped exponential backoff: 0.05, then min(0.1, cap=0.08)
         assert sleeps == [pytest.approx(0.05), pytest.approx(0.08)]
         c = q.counters

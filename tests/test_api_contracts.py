@@ -26,6 +26,21 @@ def test_deadlock_error_carries_cycle():
     assert "1234" in str(e) and "stuck" in str(e)
 
 
+def test_deadlock_error_survives_pickling():
+    """A pool process sends its errors back pickled: the copy must read
+    as the original, not wrap the finished message as a new cycle."""
+    import pickle
+
+    e = DeadlockError(40_000_000, "no instruction progress",
+                      forensics={"reason": "deadlock"})
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is DeadlockError
+    assert str(back) == str(e) == ("simulation deadlocked at cycle "
+                                   "40000000: no instruction progress")
+    assert (back.cycle, back.detail, back.forensics) == (
+        e.cycle, e.detail, e.forensics)
+
+
 def test_alloc_alignment_and_disjointness():
     from repro.workloads import Alloc
 
