@@ -638,8 +638,9 @@ NAMED_VERBS = tuple(verb for verb in _VERBS if verb)
 
 
 def main(argv=None):
-    # one stderr handler at INFO: a line per sweep progress step, served
-    # request and replaced pool; a no-op if logging is already configured
+    # one stderr handler at INFO: the service's listening port, HTTP
+    # errors and replaced pools, and the watchdog's deadlock errors; a
+    # no-op if logging is already configured
     logging.basicConfig(
         level=logging.INFO, datefmt="%H:%M:%S",
         format="%(asctime)s.%(msecs)03d %(levelname)-7s %(name)s: "

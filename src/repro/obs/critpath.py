@@ -16,8 +16,11 @@ simulated time exactly**: ``sum(groups) == time_ps``, enforced by
 
 Alongside the time breakdown, every ``_ev_notify`` wakeup edge is
 counted (waker unit -> woken unit), giving a wakeup-graph profile: which
-seams actually re-arm sleepers, and how often. The edge where the waker
-is the scheduler itself (boundary iterations, outside any unit tick) is
+seams actually re-arm sleepers, and how often. CritPath counts them
+itself: the event core hands each unit of ``System.units()`` (uid, name,
+group, tick, hook) to :meth:`CritPath.wrap`, whose tick wrapper records
+the ticking unit and whose hook wrapper counts one edge from it. The
+edge where the waker is the scheduler itself (outside any unit tick) is
 reported as ``external``.
 
 Like :class:`~repro.obs.host.HostScope`, a CritPath is a null-object
@@ -62,35 +65,35 @@ class CritPath:
         self._crit = {}   # group -> critical sim ps
         self._gates = {}  # group -> union-grid advances this group gated
         self._units = {}  # uid -> (name, group)
-        # [last charged instant marker, last charged instant, last group]:
-        # the marker equals the instant of the most recent charge so that
-        # only the *first* executing unit at a new T pays for the advance
-        self._cur = [-1, 0, None]
+        # [last charged instant marker, last charged instant, last group,
+        # ticking unit id]: the marker equals the instant of the most
+        # recent charge so that only the *first* executing unit at a new
+        # T pays for the advance; the ticking unit is -1 between ticks
+        self._cur = [-1, 0, None, -1]
 
     # ---------------------------------------------------------------- wiring
 
-    def attach(self, units):
-        """Register the event core's unit table: ``(uid, name, group)``
-        triples in ground order, used to resolve wakeup-edge uids."""
-        for uid, name, group in units:
-            self._units[uid] = (name, group)
-            self._crit.setdefault(group, 0)
-            self._gates.setdefault(group, 0)
+    def wrap(self, uid, name, group, tick, hook):
+        """Register one event-core unit and wrap its ``tick(T)`` and its
+        ``_ev_notify`` hook; returns the wrapped ``(tick, hook)`` pair.
 
-    def wrap(self, fn, group):
-        """Wrap a unit's ``tick(T)`` so the first execution at each new
-        union-grid instant charges the span since the previous charged
-        instant to ``group``.
-
-        The event core services units in ground order within one
-        iteration, so the first wrapper to observe a new ``T`` belongs
-        to the lowest-uid executing unit — the tie-break the module
-        docstring promises. Pure bookkeeping (two int compares on the
-        repeat path); simulated state is untouched.
+        The tick wrapper charges the span since the previous charged
+        instant to ``group`` on the first execution at each new
+        union-grid instant. The event core services units in ground
+        order within one iteration, so the first wrapper to observe a new
+        ``T`` belongs to the lowest-uid executing unit — the tie-break
+        the module docstring promises. It also marks ``uid`` as the
+        ticking unit while the tick runs, so the hook wrapper can count
+        the wake edge from that unit (``-1`` outside any tick) to this
+        one. Pure bookkeeping: simulated state is untouched.
         """
+        self._units[uid] = (name, group)
         crit = self._crit
         gates = self._gates
+        crit.setdefault(group, 0)
+        gates.setdefault(group, 0)
         cur = self._cur
+        edges = self.edges
 
         def gated(T):
             if T != cur[0]:
@@ -99,9 +102,16 @@ class CritPath:
                 cur[0] = T
                 cur[1] = T
                 cur[2] = group
-            return fn(T)
+            cur[3] = uid
+            tick(T)
+            cur[3] = -1
 
-        return gated
+        def counted():
+            hook()
+            k = (cur[3], uid)
+            edges[k] = edges.get(k, 0) + 1
+
+        return gated, counted
 
     def finalize(self, t_ps, stalled=False):
         """Close the run at ``t_ps`` (the result's ``time_ps``, or the

@@ -3,11 +3,13 @@
 When the watchdog fires, the interesting question is never "did we
 deadlock" (the :class:`~repro.errors.DeadlockError` already says so) but
 *who is asleep waiting on whom*. This module answers it: a
-:func:`snapshot` probes every ticking unit's scheduling state through
-the same pure seams the event core schedules with — ``next_work_ps``
-bounds plus a per-component ``forensic_state`` summary (ROB / queue /
-in-flight occupancies) — and assembles a **wait-for graph** with cycle
-detection and a blocking frontier.
+:func:`snapshot` probes the scheduling state of every ticking unit in
+``System.units()`` (the table the event core schedules, in its ground
+order, with the hostprof/critpath groups) through the same pure seams
+the event core schedules with — ``next_work_ps`` bounds plus a
+per-component ``forensic_state`` summary (ROB / queue / in-flight
+occupancies) — and assembles a **wait-for graph** with cycle detection
+and a blocking frontier.
 
 The simulator attaches the resulting ``bigvlittle-forensics-v1`` report
 to every :class:`DeadlockError` it raises (watchdog *and* ``max_ns``
@@ -36,41 +38,11 @@ Graph semantics:
 
 from __future__ import annotations
 
-from repro.obs.host import unit_group
-from repro.vector import DecoupledVectorEngine, VLittleEngine
-
 SCHEMA = "bigvlittle-forensics-v1"
 
 _INF = 1 << 60
 
 _DOMAINS = ("big", "little", "mem")
-
-
-def _unit_entries(system):
-    """``(name, domain, component)`` triples in the event core's ground
-    order (mirrors ``repro.soc.events._build_units``, including the
-    littles reconfigured as vector lanes)."""
-    entries = []
-    engine = system.engine
-    for c in system.bigs:
-        entries.append((c.core_id, 0, c))
-    if isinstance(engine, DecoupledVectorEngine):
-        entries.append(("dve", 0, engine))
-    for c in system.littles:
-        entries.append((c.core_id, 1, c))
-    if isinstance(engine, VLittleEngine):
-        entries.append(("vcu", 1, engine))
-    entries.append(("mem", 2, system.ms))
-    return entries
-
-
-def _engine_name(system):
-    engine = system.engine
-    if isinstance(engine, VLittleEngine):
-        return "vcu"
-    if isinstance(engine, DecoupledVectorEngine):
-        return "dve"
-    return "engine"
 
 
 def _find_cycles(adj):
@@ -112,10 +84,13 @@ def snapshot(system, t_ps, reason=""):
     contracts, so snapshotting a live (or deadlocked, or finished)
     system never changes simulated state or stats.
     """
-    engine_name = _engine_name(system)
+    table = system.units()
+    # a unit's "engine" wait names whichever engine unit the table holds
+    engine_name = next((name for name, _, _, obj in table
+                        if obj is system.engine), "engine")
     units = []
     edges = []
-    for name, domain, obj in _unit_entries(system):
+    for name, domain, group, obj in table:
         det = obj.forensic_state(t_ps)
         done = det.pop("done")
         waits = det.pop("waits_on")
@@ -133,7 +108,7 @@ def snapshot(system, t_ps, reason=""):
                 state, bound = "timed", int(b)
         unit = {
             "unit": name,
-            "group": unit_group(name, domain),
+            "group": group,
             "domain": _DOMAINS[domain],
             "state": state,
             "next_work_ps": bound,

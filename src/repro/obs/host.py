@@ -7,10 +7,12 @@ and attributes host wall-seconds to per-component **unit groups** —
 ``big`` / ``little`` / ``vcu`` / ``vmu`` / ``vxu`` / ``dve`` / ``l2`` /
 ``dram`` / ``mem`` / ``scheduler``, plus the ``vcu.lanes.batch`` /
 ``vcu.lanes.scalar`` executor split nested under the VLITTLE engine —
-by timing the event core's per-unit
-dispatch with the monotonic clock, plus a handful of nested seams
-(VMU/VXU inside the engine tick, L2/DRAM request processing inside
-whichever unit triggered it).
+by timing the event core's per-unit dispatch with the monotonic clock,
+plus a handful of nested seams (VMU/VXU inside the engine tick, L2/DRAM
+request processing inside whichever unit triggered it). The dispatched
+units and their groups are the rows of ``System.units()``: the event
+core wraps each unit's tick with :meth:`HostScope.wrap` in the pass
+that plants its wakeup hooks, before any CritPath wrapper.
 
 Attribution is *exclusive*: a nested timed region's wall-time is
 subtracted from its enclosing region via a scope stack, so the group
@@ -354,18 +356,3 @@ class HostScope:
         return (f"<HostScope stride={self.stride} "
                 f"groups={len(self._recs)} wall_s={self.wall_s:.3f}>")
 
-
-def unit_group(name, domain):
-    """Map an event-core unit (name, domain index) to its hostprof group.
-
-    Unit names follow the dense loop's construction: big cores are
-    ``big<i>``, littles ``lit<i>``, the engines ``vcu``/``dve``, the
-    memory subsystem ``mem``; domain 0 is big, 1 little, 2 mem.
-    """
-    if name in ("vcu", "dve", "mem"):
-        return name
-    if domain == 0:
-        return "big"
-    if domain == 1:
-        return "little"
-    return "mem"

@@ -1,7 +1,6 @@
-"""SoC assembly: configurations, system builder, simulation loops."""
+"""SoC assembly: configurations, the system, simulation loops."""
 
 from repro.soc.config import MemConfig, SoCConfig, SYSTEM_NAMES, preset
-from repro.soc.system import System, build_system
+from repro.soc.system import System
 
-__all__ = ["MemConfig", "SoCConfig", "SYSTEM_NAMES", "preset", "System",
-           "build_system"]
+__all__ = ["MemConfig", "SoCConfig", "SYSTEM_NAMES", "preset", "System"]

@@ -88,6 +88,18 @@ of the run); the settle-then-re-probe path above then runs a woken core
 later in ground order at the same instant and re-arms an earlier one at
 its next slot, exactly where the dense loop's peek first sees the new
 scheduler state.
+
+**Units and instruments.** The unit table is built from
+``System.units()``, the one list of a loaded system's ticking units
+(name, domain, report group, component) that forensics and both tick
+instruments read too. A :class:`~repro.obs.host.HostScope` and a
+:class:`~repro.obs.critpath.CritPath`, passed to :func:`run_event_loop`,
+attach in the same pass that plants the ``_ev_notify`` hooks: the
+HostScope wraps each unit's dispatch first, the CritPath wraps outside
+it and also wraps the hook, counting wake edges from the unit it saw
+ticking. A run leaves through one exit, ``end``, which settles the
+deferred charges, closes the ``sim.ticks_*`` split and the CritPath,
+then returns the result or raises the deadlock.
 """
 
 from __future__ import annotations
@@ -96,7 +108,6 @@ import logging
 import time
 
 from repro.errors import DeadlockError
-from repro.vector import DecoupledVectorEngine, VLittleEngine
 
 _INF = 1 << 60
 
@@ -184,14 +195,15 @@ class _Unit:
     whole deferred window, so one chunked ``skip_ticks`` replays it.
     """
 
-    __slots__ = ("uid", "name", "domain", "owner", "tick", "probe", "skip",
-                 "exec_at", "charged", "dirty", "pending", "wakes",
+    __slots__ = ("uid", "name", "domain", "group", "owner", "tick", "probe",
+                 "skip", "exec_at", "charged", "dirty", "pending", "wakes",
                  "streak", "no_probe", "executed", "burst")
 
-    def __init__(self, uid, name, domain, owner, tick, probe, skip):
+    def __init__(self, uid, name, domain, group, owner, tick, probe, skip):
         self.uid = uid
         self.name = name
         self.domain = domain
+        self.group = group  # report group of the instruments (System.units)
         self.owner = owner  # object carrying the ``_ev_notify`` hook slot
         self.tick = tick
         self.probe = probe  # pure next_work_ps(now)
@@ -208,9 +220,10 @@ class _Unit:
 
 
 def _build_units(system):
-    """Assemble the per-unit table in ground (dense-loop) order; wire the
-    static wakeup edge (engine accept-time -> big cores) — every other
-    dependency re-arms through an ``_ev_notify`` push hook.
+    """Build the per-unit table from ``system.units()`` (ground order,
+    so uids break ties in ground order); wire the static wakeup edge
+    (engine accept-time -> big cores) — every other dependency re-arms
+    through an ``_ev_notify`` push hook.
 
     Returns ``(units, statics)``. Static units are little cores
     reconfigured as vector lanes (``active`` cleared at engine
@@ -221,44 +234,27 @@ def _build_units(system):
     """
     units = []
     statics = []
-
-    def add(name, domain, owner, tick, probe, skip, static=False):
-        u = _Unit(len(units) + len(statics), name, domain, owner, tick,
-                  probe, skip)
-        if static:
+    engine_unit = None
+    ms = system.ms
+    for uid, (name, domain, group, comp) in enumerate(system.units()):
+        # the L2 is the single request-side entry point into the memory
+        # subsystem, so it carries the memory unit's push hook
+        owner = ms.l2 if comp is ms else comp
+        u = _Unit(uid, name, domain, group, owner, comp.tick,
+                  comp.next_work_ps, comp.skip_ticks)
+        if getattr(comp, "active", True):
+            units.append(u)
+        else:
             u.exec_at = _INF  # permanently quiescent: settle-only
             statics.append(u)
-        else:
-            units.append(u)
-        return u
-
-    engine = system.engine
-    big_units = [
-        add(c.core_id, _BIG, c, c.tick, c.next_work_ps, c.skip_ticks)
-        for c in system.bigs
-    ]
-    engine_unit = None
-    if isinstance(engine, DecoupledVectorEngine):
-        engine_unit = add("dve", _BIG, engine, engine.tick,
-                          engine.next_work_ps, engine.skip_ticks)
-    for c in system.littles:
-        add(c.core_id, _LITTLE, c, c.tick, c.next_work_ps, c.skip_ticks,
-            static=not c.active)
-    if isinstance(engine, VLittleEngine):
-        engine_unit = add("vcu", _LITTLE, engine, engine.tick,
-                          engine.next_work_ps, engine.skip_ticks)
-    ms = system.ms
-    # the L2 is the single request-side entry point into the memory
-    # subsystem, so it carries the memory unit's push hook
-    add("mem", _MEM, ms.l2, ms.tick, ms.next_work_ps, ms.skip_ticks)
-
+        if comp is system.engine:
+            engine_unit = u
     # a big core can sleep on the engine's next_accept_ps, which the
     # engine's own execution may pull earlier — no push seam exists for
     # that, so it stays a static wakeup edge
     if engine_unit is not None:
-        engine_unit.wakes = tuple(big_units)
+        engine_unit.wakes = tuple(u for u in units if u.group == "big")
     return units, statics
-
 
 
 def _settle_all(units, tb, tl, tm, periods):
@@ -276,41 +272,19 @@ def _settle_all(units, tb, tl, tm, periods):
             u.charged = target
 
 
-def run_event_loop(system, max_ns):
+def run_event_loop(system, max_ns, hostscope=None, critpath=None):
     """Drive ``system`` to completion with the per-unit event core.
 
     Mirrors ``System.run``'s dense semantics exactly (see module
     docstring); returns the same :class:`RunResult` and raises the same
-    :class:`DeadlockError` timestamps.
+    :class:`DeadlockError` timestamps. ``hostscope`` (a
+    :class:`~repro.obs.host.HostScope`) and ``critpath`` (a
+    :class:`~repro.obs.critpath.CritPath`) wrap every unit's dispatch
+    (module docstring, "Units and instruments").
     """
     pb, pl, pm = periods = (system._pb, system._pl, system._pm)
     units, statics = _build_units(system)
     allunits = units + statics
-    # host-side profiling (repro.obs.host): wrap every unit's dispatch
-    # callable with monotonic-clock accounting and patch the nested
-    # sub-unit seams. Wrapping happens here, once, so the hot loop is
-    # untouched when no hostscope is attached; probes and skip_ticks stay
-    # unwrapped (they are scheduler overhead, charged to the residual).
-    hs = system.hostscope
-    if hs is not None:
-        from repro.obs.host import unit_group
-        for u in units:
-            u.tick = hs.wrap(u.tick, unit_group(u.name, u.domain), arity=1)
-        hs.install(system)
-    # critical-path attribution (repro.obs.critpath): wrap every unit's
-    # dispatch so the first execution at each new union-grid instant
-    # charges the advance to its group. Wrapped *outside* any hostscope
-    # wrapper so critpath bookkeeping lands in hostprof's scheduler
-    # residual, not in the group walls it is measuring.
-    cp = system.critpath
-    wk_edges = None
-    if cp is not None:
-        from repro.obs.host import unit_group
-        cp.attach([(u.uid, u.name, unit_group(u.name, u.domain))
-                   for u in units])
-        for u in units:
-            u.tick = cp.wrap(u.tick, unit_group(u.name, u.domain))
-        wk_edges = cp.edges
     bunits = [u for u in units if u.domain == _BIG]
     lunits = [u for u in units if u.domain == _LITTLE]
     munits = [u for u in units if u.domain == _MEM]
@@ -325,20 +299,61 @@ def run_event_loop(system, max_ns):
     # every serviced unit starts ready: the dense loop ticks them at t=0
     rn0, rn1, rn2 = len(bunits), len(lunits), len(munits)
     dirty_n = [0, 0, 0]
+    # hook context shared with the _ev_notify closures:
+    # [T, ticking unit id, big clock, little clock, mem clock]
+    hctx = [0, -1, 0, 0, 0]
+    pend = []  # units awaiting the end-of-iteration re-arm pass
+
+    def make_hook(u):
+        d = u.domain
+        p = periods[d]
+        skip = u.skip
+
+        def hook():
+            # an input is about to mutate this unit's state: settle the
+            # deferred charge window first, against the pre-input state —
+            # up to and including the slot at T once the unit's ground-
+            # order turn this iteration has passed, else up to T
+            upto = hctx[2 + d]
+            if upto == hctx[0] and u.uid < hctx[1]:
+                upto += p
+            c = u.charged
+            if c < upto:
+                skip((upto - c) // p, c)
+                u.charged = upto
+            if not u.dirty:
+                u.dirty = True
+                dirty_n[d] += 1
+                if not u.pending:
+                    u.pending = True
+                    pend.append(u)
+
+        return hook
+
+    # one pass plants every unit's push hook and attaches the
+    # instruments. The hostscope times each dispatch (probes and
+    # skip_ticks stay unwrapped: they are scheduler overhead, charged to
+    # its residual) and patches the nested sub-unit seams; the critpath
+    # wraps outside it, so its bookkeeping lands in that residual too,
+    # and it wraps the hook to count wake edges. With neither attached
+    # the hot loop calls the bare ticks and hooks.
+    hs, cp = hostscope, critpath
+    for u in units:
+        hook = make_hook(u)
+        if hs is not None:
+            u.tick = hs.wrap(u.tick, u.group, arity=1)
+        if cp is not None:
+            u.tick, hook = cp.wrap(u.uid, u.name, u.group, u.tick, hook)
+        u.owner._ev_notify = hook
+    if hs is not None:
+        hs.install(system)
 
     tb = tm = 0  # per-domain clocks: next unserviced grid tick
-    # a little domain with no *dynamic* units never executes: park its
-    # clock at infinity so every per-iteration check falls through, and
-    # derive its slot count from the exit time. With static units
-    # (cores reconfigured as vector lanes) this is only sound when the
-    # little grid adds no union-grid instants of its own — boundary
-    # timestamps (sampler, watchdog) must not move — so it is gated on
-    # the little period being a multiple of another domain's.
-    has_l_static = any(u.domain == _LITTLE for u in statics)
-    if lunits or (has_l_static and pl % pb != 0 and pl % pm != 0):
-        tl = 0
-    else:
-        tl = _INF
+    # a little domain with no dynamic unit never executes: park its
+    # clock at infinity so every per-iteration check falls through. It
+    # has no static unit to settle either, since cores reconfigured as
+    # vector lanes only exist beside the dynamic vcu unit
+    tl = 0 if lunits else _INF
     # cached per-domain minima of the timed units' armed instants, so an
     # idle domain's whole service block can be skipped with a handful of
     # integer checks. In a multi-unit domain a re-arm just lowers the
@@ -373,64 +388,28 @@ def run_event_loop(system, max_ns):
     system._skipped_big = system._skipped_little = system._skipped_mem = 0
     system._wall_t0 = time.perf_counter()
 
-    # hook context shared with the _ev_notify closures:
-    # [T, ticking unit id, big clock, little clock, mem clock]
-    hctx = [0, -1, 0, 0, 0]
-    pend = []  # units awaiting the end-of-iteration re-arm pass
-
-    def make_hook(u, edges=None):
-        d = u.domain
-        p = periods[d]
-        skip = u.skip
-
-        def hook():
-            # an input is about to mutate this unit's state: settle the
-            # deferred charge window first, against the pre-input state —
-            # up to and including the slot at T once the unit's ground-
-            # order turn this iteration has passed, else up to T
-            upto = hctx[2 + d]
-            if upto == hctx[0] and u.uid < hctx[1]:
-                upto += p
-            c = u.charged
-            if c < upto:
-                skip((upto - c) // p, c)
-                u.charged = upto
-            if not u.dirty:
-                u.dirty = True
-                dirty_n[d] += 1
-                if not u.pending:
-                    u.pending = True
-                    pend.append(u)
-
-        if edges is None:
-            return hook
-
-        # critpath wakeup-graph profiling: a separate closure so the
-        # no-critpath hook pays nothing. hctx[1] is the currently
-        # ticking unit (-1 outside service blocks = scheduler/external).
-        wid = u.uid
-
-        def counting_hook():
-            hook()
-            k = (hctx[1], wid)
-            edges[k] = edges.get(k, 0) + 1
-
-        return counting_hook
-
-    for u in units:
-        u.owner._ev_notify = make_hook(u, wk_edges)
-
-    def settle_meta(t_exit):
-        # every domain-grid slot in [0, t_exit] is serviced exactly once
-        # (bulk-skipped, closed idle, or executed), and the dense loop
-        # executes all of them — so the skipped count is just the slot
-        # count minus the executed count, with no per-iteration
-        # bookkeeping in the hot loop
+    def end(T, tb, tl, tm, how):
+        # the run's one exit ("done", "watchdog" or "horizon"): settle
+        # every deferred charge, close the META split and the critpath,
+        # then return the result or raise. Every domain-grid slot in
+        # [0, T] was serviced exactly once (bulk-skipped, closed idle, or
+        # executed) and the dense loop executes all of them, so the
+        # skipped count is the slot count minus the executed count. The
+        # clocks come in as arguments: a closure over them would turn
+        # the hot loop's clock reads into cell loads.
+        _settle_all(allunits, tb, tl, tm, periods)
         system._ticks_big, system._ticks_little, system._ticks_mem = executed
-        system._skipped_big = t_exit // pb + 1 - executed[0]
-        system._skipped_little = t_exit // pl + 1 - executed[1]
-        system._skipped_mem = t_exit // pm + 1 - executed[2]
+        system._skipped_big, system._skipped_little, system._skipped_mem = (
+            T // p + 1 - n for p, n in zip(periods, executed))
         system._event_unit_ticks = {u.name: u.executed for u in allunits}
+        t_end = T + max(periods) if how == "done" else T
+        if cp is not None:
+            cp.finalize(t_end, stalled=how == "watchdog")
+        if how == "done":
+            return system._result(t_end)
+        if how == "watchdog":
+            raise watchdog_deadlock(system, T, "event")
+        raise horizon_deadlock(system, T, max_ns, "event")
 
     try:
         while True:
@@ -481,7 +460,7 @@ def run_event_loop(system, max_ns):
             # strictly below T (every unit's bound covers it — T is the
             # earliest pending event). Per-unit charges stay deferred;
             # the skipped-slot counts fall out of the closed-form split
-            # in ``settle_meta``, so nothing is tallied here.
+            # in ``end``, so nothing is tallied here.
             if tb < T:
                 tb += (T - tb + pb - 1) // pb * pb
             if tl < T:
@@ -758,46 +737,26 @@ def run_event_loop(system, max_ns):
 
             # ---- 4. boundaries, in the dense loop's order: sample,
             # done, watchdog, horizon. The fused ``bmin`` bound keeps
-            # the common iteration at one compare; a parked little clock
-            # resolves to the first unserviced little-grid slot whenever
-            # static units' deferred charges are settled.
+            # the common iteration at one compare.
             if T < bmin:
                 if any_exec and done():
-                    tlx = tl if tl != _INF else (T // pl + 1) * pl
-                    _settle_all(allunits, tb, tlx, tm, periods)
-                    settle_meta(T)
-                    if cp is not None:
-                        cp.finalize(T + max(pb, pl, pm))
-                    return system._result(T + max(pb, pl, pm))
+                    return end(T, tb, tl, tm, "done")
             else:
-                tlx = tl if tl != _INF else (T // pl + 1) * pl
                 if T >= next_sample:
-                    _settle_all(allunits, tb, tlx, tm, periods)
+                    _settle_all(allunits, tb, tl, tm, periods)
                     sampler.sample(T)
                     next_sample = T + sampler.interval_ps
                 if any_exec and done():
-                    _settle_all(allunits, tb, tlx, tm, periods)
-                    settle_meta(T)
-                    if cp is not None:
-                        cp.finalize(T + max(pb, pl, pm))
-                    return system._result(T + max(pb, pl, pm))
+                    return end(T, tb, tl, tm, "done")
                 if T >= wd_target:
                     wd_target = T + WATCHDOG_PS
                     stalled, instrs = progress_check(system, T, last_instrs,
                                                      "event")
                     if stalled:
-                        _settle_all(allunits, tb, tlx, tm, periods)
-                        settle_meta(T)
-                        if cp is not None:
-                            cp.finalize(T, stalled=True)
-                        raise watchdog_deadlock(system, T, "event")
+                        return end(T, tb, tl, tm, "watchdog")
                     last_instrs = instrs
                 if T >= max_ps:
-                    _settle_all(allunits, tb, tlx, tm, periods)
-                    settle_meta(T)
-                    if cp is not None:
-                        cp.finalize(T)
-                    raise horizon_deadlock(system, T, max_ns, "event")
+                    return end(T, tb, tl, tm, "horizon")
                 bmin = next_sample if next_sample < wd_target else wd_target
                 if max_ps < bmin:
                     bmin = max_ps
@@ -1013,12 +972,7 @@ def run_event_loop(system, max_ns):
                     hctx[4] = tm
                 hctx[1] = -1
                 if ex_any and done():
-                    tlx = tl if tl != _INF else (T // pl + 1) * pl
-                    _settle_all(allunits, tb, tlx, tm, periods)
-                    settle_meta(T)
-                    if cp is not None:
-                        cp.finalize(T + max(pb, pl, pm))
-                    return system._result(T + max(pb, pl, pm))
+                    return end(T, tb, tl, tm, "done")
                 # sentinel exit test: while the sentinel is due next
                 # slot the burst is provably productive and no other
                 # probe runs. The moment it goes quiet, one sweep over

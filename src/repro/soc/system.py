@@ -16,6 +16,10 @@ loop in :meth:`System.run` (``skip=False``) ticks every component at
 every tick of its domain and is the reference: every stat except the
 ``sim.ticks_*`` executed/skipped split is bit-identical between the two
 (see docs/performance.md for the contract).
+
+:meth:`System.units` is the one table of a loaded system's ticking
+units, in ground order, with their report groups: the event core,
+deadlock forensics, hostprof and critpath all read it.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ class System:
                  "engine", "runtime", "_pb", "_pl", "_pm", "_name",
                  "_wall_t0", "_ticks_big", "_ticks_little", "_ticks_mem",
                  "_skipped_big", "_skipped_little", "_skipped_mem",
-                 "_done_blocker", "_event_unit_ticks", "hostscope",
-                 "critpath")
+                 "_done_blocker", "_event_unit_ticks")
 
     def __init__(self, config, obs=None):
         if not isinstance(config, SoCConfig):
@@ -123,11 +126,6 @@ class System:
         self._skipped_big = self._skipped_little = self._skipped_mem = 0
         self._done_blocker = None
         self._event_unit_ticks = None  # per-unit executed ticks (event loop)
-        # host-side profiling (repro.obs.host) and sim-time critical-path
-        # attribution (repro.obs.critpath) — like obs, never part of
-        # SoCConfig or cache keys, and no-ops unless attached via run()
-        self.hostscope = None
-        self.critpath = None
         self._wall_t0 = time.perf_counter()
 
     # ------------------------------------------------------------------- run
@@ -178,6 +176,29 @@ class System:
             w.set_source(worker_src)
             worker_src.core = w  # a scheduler transition wakes w
 
+    def units(self):
+        """The ticking units of the loaded system, in ground order.
+
+        One ``(name, domain, group, component)`` row per unit: big cores
+        (``big<i>``), the big-domain ``dve``, little cores (``lit<i>``,
+        lanes included), the little-domain ``vcu``, then ``mem``. Domain
+        0 is big, 1 little, 2 mem; the group names the unit's row in the
+        hostprof, critpath and forensics reports. The table depends on
+        the loaded program: a task-parallel program bypasses the VLITTLE
+        engine (:meth:`load`), so ``vcu`` drops out and its lanes tick as
+        little cores again. The event core, forensics and both tick
+        instruments take their unit list from here.
+        """
+        engine = self.engine
+        units = [(c.core_id, 0, "big", c) for c in self.bigs]
+        if isinstance(engine, DecoupledVectorEngine):
+            units.append(("dve", 0, "dve", engine))
+        units += [(c.core_id, 1, "little", c) for c in self.littles]
+        if isinstance(engine, VLittleEngine):
+            units.append(("vcu", 1, "vcu", engine))
+        units.append(("mem", 2, "mem", self.ms))
+        return units
+
     def _attach_obs(self, obs):
         """Fan an Observation out to every component that can report."""
         self.obs = obs
@@ -203,25 +224,17 @@ class System:
         or cache keys) — and every stat except the ``sim.ticks_*``
         executed/skipped split is bit-identical across the two loops.
 
-        ``hostscope`` attaches a :class:`~repro.obs.host.HostScope` that
-        attributes host wall-time to per-unit groups by timing the event
-        core's dispatch — also run-time-only and stat-invisible, but it
-        requires the event loop (the dense loop has no per-unit dispatch
-        seam to hook).
-
-        ``critpath`` attaches a :class:`~repro.obs.critpath.CritPath`
-        that charges every advance of simulated time to the unit group
-        whose armed event gated it, plus a wakeup-graph profile — the
-        same contract as ``hostscope``: run-time-only, stat-invisible,
-        event loop required (the dense loop advances all domains in
-        lockstep and has no per-unit gating to attribute).
+        ``hostscope`` (a :class:`~repro.obs.host.HostScope`, host
+        wall-time per unit group) and ``critpath`` (a
+        :class:`~repro.obs.critpath.CritPath`, the unit group that gated
+        each advance of simulated time) are handed to the event core,
+        which wraps each unit's dispatch with them. Like ``obs`` they are
+        run-time-only and stat-invisible; the dense loop has no per-unit
+        dispatch to wrap, so it refuses them.
         """
-        if hostscope is not None and not skip:
-            raise ConfigError("hostscope requires the event loop (skip=True)")
-        if critpath is not None and not skip:
-            raise ConfigError("critpath requires the event loop (skip=True)")
-        self.hostscope = hostscope
-        self.critpath = critpath
+        if not skip and (hostscope is not None or critpath is not None):
+            raise ConfigError("hostscope and critpath require the event "
+                              "loop (skip=True)")
         if program is not None:
             self.load(program)
         if obs is None:
@@ -231,7 +244,7 @@ class System:
             # engine, and only surviving components should own obs units
             self._attach_obs(obs)
         if skip:
-            return run_event_loop(self, max_ns)
+            return run_event_loop(self, max_ns, hostscope, critpath)
         pb, pl, pm = self._pb, self._pl, self._pm
         bigs, littles, engine = self.bigs, self.littles, self.engine
         # pre-bound engine tick callables: the engine's domain is fixed for
@@ -387,7 +400,3 @@ class System:
             "from_cache": False,
         }
         return RunResult(self._name, self.config.name, t_ps // 1000, stats, timing)
-
-
-def build_system(config):
-    return System(config)

@@ -1,6 +1,6 @@
-"""Statistics: stall breakdowns, counters, run results."""
+"""Statistics: stall breakdowns, run results."""
 
 from repro.stats.breakdown import Breakdown, Stall, STALL_NAMES
-from repro.stats.counters import Counters, RunResult
+from repro.stats.counters import RunResult
 
-__all__ = ["Breakdown", "Stall", "STALL_NAMES", "Counters", "RunResult"]
+__all__ = ["Breakdown", "Stall", "STALL_NAMES", "RunResult"]

@@ -1,46 +1,6 @@
-"""Simple named counters and run-result containers."""
+"""The run-result container."""
 
 from __future__ import annotations
-
-
-class Counters:
-    """A dict-backed counter bag with merge support."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self):
-        self._c = {}
-
-    def add(self, name, n=1):
-        self._c[name] = self._c.get(name, 0) + n
-
-    def get(self, name, default=0):
-        return self._c.get(name, default)
-
-    def merge(self, other):
-        for k, v in other._c.items():
-            self.add(k, v)
-
-    def as_dict(self):
-        return dict(self._c)
-
-    def items(self):
-        return self._c.items()
-
-    def __getitem__(self, name):
-        return self.get(name)
-
-    def __contains__(self, name):
-        return name in self._c
-
-    def __len__(self):
-        return len(self._c)
-
-    def __iter__(self):
-        return iter(self._c)
-
-    def __repr__(self):
-        return f"<Counters {self._c}>"
 
 
 class RunResult:

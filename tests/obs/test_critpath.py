@@ -65,6 +65,20 @@ def test_groups_are_known_and_plausible():
     assert shares == pytest.approx(1.0)
 
 
+def test_report_values_are_pinned():
+    """The attribution itself, not just its tiling: one run's groups and
+    wake-edge total, so a change to the instrument seam cannot shift
+    them silently."""
+    cp = CritPath()
+    _run(critpath=cp)
+    rep = cp.report()
+    assert {g["group"]: (g["crit_ps"], g["gates"])
+            for g in rep["groups"]} == {"big": (655000, 238),
+                                        "vcu": (283000, 208),
+                                        "mem": (135000, 15)}
+    assert rep["wakeup_edges"] == 325
+
+
 def test_wakeup_edges_are_counted_and_resolved():
     cp = CritPath()
     _run(critpath=cp)

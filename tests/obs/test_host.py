@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.runner import _program_for
 from repro.obs import HostScope
-from repro.obs.host import GROUPS, SCHEMA, unit_group
+from repro.obs.host import GROUPS, SCHEMA
 from repro.soc import System, preset
 from repro.workloads import get_workload
 
@@ -138,12 +138,35 @@ def test_lane_executor_split_under_vcu():
     assert "vcu.lanes.batch" not in names2
 
 
-def test_unit_group_mapping():
-    assert unit_group("vcu", 2) == "vcu"
-    assert unit_group("dve", 2) == "dve"
-    assert unit_group("mem", 2) == "mem"
-    assert unit_group("big0", 0) == "big"
-    assert unit_group("lit3", 1) == "little"
+_BIG = [("big0", 0, "big")]
+_LITS = [(f"lit{i}", 1, "little") for i in range(4)]
+_MEM = [("mem", 2, "mem")]
+
+#: (system, workload) -> the loaded system's ``units()`` rows as
+#: (name, domain, group), in ground order
+UNIT_TABLES = {
+    ("1L", "saxpy"): [("lit0", 1, "little")] + _MEM,
+    ("1b", "saxpy"): _BIG + _MEM,
+    ("1bIV", "saxpy"): _BIG + _MEM,
+    ("1b-4L", "saxpy"): _BIG + _LITS + _MEM,
+    ("1bIV-4L", "saxpy"): _BIG + _LITS + _MEM,
+    ("1bDV", "saxpy"): _BIG + [("dve", 0, "dve")] + _MEM,
+    ("1b-4VL", "saxpy"): _BIG + _LITS + [("vcu", 1, "vcu")] + _MEM,
+    # a task-parallel program bypasses the VLITTLE engine: no vcu
+    ("1b-4VL", "bfs"): _BIG + _LITS + _MEM,
+}
+
+
+def test_system_units_pin_ground_order_and_groups():
+    """The one unit table the event core, forensics, hostprof and
+    critpath read: every preset, plus the bypassed engine."""
+    for (system, workload), rows in UNIT_TABLES.items():
+        cfg = preset(system)
+        sys_ = System(cfg)
+        sys_.load(_program_for(cfg, get_workload(workload, "tiny")))
+        got = [(name, domain, group)
+               for name, domain, group, _ in sys_.units()]
+        assert got == rows, (system, workload)
 
 
 def test_scalar_system_profiles_too():

@@ -6,8 +6,10 @@ import errno
 import http.client
 import importlib.util
 import json
+import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -101,6 +103,28 @@ def test_healthz_and_schema_headers(service_app):
     assert headers["X-BigVLittle-Cache"] == "memory"
     doc = json.loads(raw)
     assert doc["ok"] is True and doc["schema"] == SERVICE_SCHEMA
+
+
+def test_request_log_is_debug_and_errors_stay_info(service_app, caplog):
+    """A served request logs at DEBUG, off the INFO hot path; a
+    malformed request line still logs at INFO."""
+    caplog.set_level(logging.DEBUG, logger="repro.service.http")
+
+    def records(level):
+        return [r for r in caplog.records
+                if r.name == "repro.service.http" and r.levelno == level]
+
+    assert req(service_app, "GET", "/v1/healthz")[0] == 200
+    assert records(logging.INFO) == []
+    assert any("GET /v1/healthz" in r.getMessage()
+               for r in records(logging.DEBUG))
+    with socket.create_connection(("127.0.0.1", service_app.port),
+                                  timeout=10) as sock:
+        sock.sendall(b"NOT A REQUEST LINE\r\n\r\n")
+        # the server closes the connection after its error page
+        reply = b"".join(iter(lambda: sock.recv(4096), b""))
+    assert b"400" in reply
+    assert any("code 400" in r.getMessage() for r in records(logging.INFO))
 
 
 def test_every_documented_endpoint_answers(service_app):

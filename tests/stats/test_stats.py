@@ -1,6 +1,6 @@
 """Tests for the statistics infrastructure."""
 
-from repro.stats import Breakdown, Counters, RunResult, STALL_NAMES, Stall
+from repro.stats import Breakdown, RunResult, STALL_NAMES, Stall
 
 
 def test_stall_categories_match_fig7():
@@ -45,32 +45,6 @@ def test_breakdown_merge():
     assert m.counts[Stall.BUSY] == 5
     assert m.counts[Stall.SIMD] == 1
     assert a.counts[Stall.BUSY] == 2  # originals untouched
-
-
-def test_counters():
-    c = Counters()
-    c.add("x")
-    c.add("x", 4)
-    assert c["x"] == 5
-    assert c.get("missing") == 0
-    d = Counters()
-    d.add("x", 1)
-    d.add("y", 2)
-    c.merge(d)
-    assert c["x"] == 6 and c["y"] == 2
-    assert c.as_dict() == {"x": 6, "y": 2}
-
-
-def test_counters_mapping_protocol():
-    c = Counters()
-    c.add("x", 5)
-    c.add("y", 2)
-    assert "x" in c and "missing" not in c
-    assert sorted(c.items()) == [("x", 5), ("y", 2)]
-    assert len(c) == 2
-    assert sorted(c) == ["x", "y"]
-    # __getitem__ mirrors get(): missing keys read as 0, never KeyError
-    assert c["missing"] == 0 == c.get("missing")
 
 
 def test_run_result_access():
